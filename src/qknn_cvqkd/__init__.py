@@ -11,7 +11,6 @@ Subpackages:
 - ``secrate``: asymptotic secret-key rates for conventional and
   classifier-assisted discretely-modulated CVQKD.
 - ``metrics``: confusion/precision/ROC metrics and operation-count models.
-- ``cli``: experiment runner emitting reproducible CSV/JSON artifacts.
 """
 
 __version__ = "0.1.0"

@@ -34,6 +34,7 @@ from .encoding import (
     index_register_width,
     prepare_query_state,
     prepare_training_row_state,
+    swap_test_p_zero,
 )
 
 
@@ -153,14 +154,10 @@ def compute_similarity_table(
         estimated = ideal_p_zero.copy()
     else:
         estimated = np.empty(count)
-        query_state = prepare_query_state(query)
-        width = query_state.state.n_qubits
-        control = 2 * width
+        query_state = prepare_query_state(query).state
         for j in range(count):
-            row_state = prepare_training_row_state(features, j)
-            system = qsim.tensor_product(query_state.state, row_state.state, qsim.new_register(1))
-            out = qsim.cswap_test(system, control, (0, width), (width, width))
-            measured_p = float(qsim.born_probabilities(out, (control, 1))[0])
+            row_state = prepare_training_row_state(features, j).state
+            measured_p = swap_test_p_zero(query_state, row_state)
             estimated[j] = amplitude_estimate(measured_p, iterations, m_bits).estimate
 
     sim_continuous = (count / math.pi) * np.arcsin(np.sqrt(np.clip(estimated, 0.0, 1.0)))
@@ -198,15 +195,11 @@ def similarity_superposition(
     count = features.shape[0]
 
     if mode == "gate":
-        p_zero = np.empty(count)
-        query_state = prepare_query_state(query)
-        width = query_state.state.n_qubits
-        control = 2 * width
-        for j in range(count):
-            row_state = prepare_training_row_state(features, j)
-            system = qsim.tensor_product(query_state.state, row_state.state, qsim.new_register(1))
-            out = qsim.cswap_test(system, control, (0, width), (width, width))
-            p_zero[j] = float(qsim.born_probabilities(out, (control, 1))[0])
+        query_state = prepare_query_state(query).state
+        p_zero = np.array([
+            swap_test_p_zero(query_state, prepare_training_row_state(features, j).state)
+            for j in range(count)
+        ])
     elif mode == "analytic":
         p_zero = np.asarray(swap_test_probability(fidelity_to_rows(features, query)))
     else:

@@ -6,9 +6,9 @@ Design notes:
 - Qubit 0 is the least significant bit of the basis index (little-endian).
 - Every operation is a pure function: the input state is never mutated and a
   fresh ``StateVector`` is returned.
-- Gates assert norm preservation to 1e-12 instead of renormalizing, so a
-  broken gate shows up as an assertion, not as silent drift. Renormalization
-  happens only at measurement collapse.
+- Gates check norm preservation to 1e-12 instead of renormalizing, so a
+  broken gate raises ``StateCorruptionError``, not silent drift, also under
+  ``python -O``. Renormalization happens only at measurement collapse.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ DEFAULT_QUBIT_CAP = 24
 NORM_TOL = 1e-12
 
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
+_X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 
 class ResourceError(RuntimeError):
@@ -76,11 +77,11 @@ class MeasurementOutcome:
     post_state: StateVector
 
 
-def _wrap(state: StateVector, amplitudes: np.ndarray, renormalized: bool = False) -> StateVector:
+def _wrap(state: StateVector, amplitudes: np.ndarray) -> StateVector:
     new = StateVector(state.n_qubits, amplitudes)
-    if not renormalized:
-        drift = abs(new.norm_squared() - state.norm_squared())
-        assert drift < NORM_TOL, f"gate broke normalization by {drift:.3e}"
+    drift = abs(new.norm_squared() - state.norm_squared())
+    if not drift < NORM_TOL:  # also catches a NaN drift
+        raise StateCorruptionError(f"gate broke normalization by {drift:.3e}")
     return new
 
 
@@ -136,29 +137,56 @@ def tensor_product(*states: StateVector) -> StateVector:
 # single-qubit and controlled gates
 # ---------------------------------------------------------------------------
 
-def _apply_1q_matrix(state: StateVector, matrix: np.ndarray, target: int) -> StateVector:
+def _apply_controlled_2x2(
+    state: StateVector, matrix: np.ndarray, target: int, controls=()
+) -> StateVector:
+    """Apply the 2x2 ``matrix`` to ``target`` on the basis states whose
+    control qubits match ``controls``, a sequence of ``(qubit, required_bit)``
+    pairs.
+
+    The amplitudes are viewed as a ``(2,)*n`` tensor in which qubit q is axis
+    n-1-q. Each control and the target are fixed with a length-1 slice, never
+    an integer index, so every selection stays an array view (an integer
+    index into a one-qubit register would yield a scalar).
+    """
     n = state.n_qubits
-    axis = n - 1 - target  # little-endian: qubit q is axis n-1-q of the tensor
-    tensor = state.amplitudes.reshape((2,) * n)
-    moved = np.moveaxis(tensor, axis, -1)
-    out = moved @ matrix.T
-    return np.moveaxis(out, -1, axis).reshape(-1)
+    block = [slice(None)] * n
+    for qubit, required in controls:
+        state.check_qubit(qubit)
+        if qubit == target:
+            raise ValueError(f"target qubit {target} overlaps a control")
+        if block[n - 1 - qubit] != slice(None):
+            raise ValueError("duplicate control qubit")
+        block[n - 1 - qubit] = slice(int(required), int(required) + 1)
+    block[n - 1 - target] = slice(0, 1)
+    zero = tuple(block)
+    block[n - 1 - target] = slice(1, 2)
+    one = tuple(block)
+    src = state.amplitudes.reshape((2,) * n)
+    amps = state.amplitudes.copy()
+    out = amps.reshape((2,) * n)
+    out[zero] = matrix[0, 0] * src[zero] + matrix[0, 1] * src[one]
+    out[one] = matrix[1, 0] * src[zero] + matrix[1, 1] * src[one]
+    return _wrap(state, amps)
 
 
 def apply_hadamard(state: StateVector, target: int) -> StateVector:
     state.check_qubit(target)
-    return _wrap(state, _apply_1q_matrix(state, _H_MATRIX, target))
+    return _apply_controlled_2x2(state, _H_MATRIX, target)
 
 
 def apply_x(state: StateVector, target: int) -> StateVector:
     state.check_qubit(target)
-    idx = np.arange(state.dim)
-    return _wrap(state, state.amplitudes[idx ^ (1 << target)].copy())
+    return _apply_controlled_2x2(state, _X_MATRIX, target)
 
 
 def ry_matrix(angle: float) -> np.ndarray:
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+
+def _phase_matrix(angle: float) -> np.ndarray:
+    return np.array([[1.0, 0.0], [0.0, np.exp(1j * angle)]])
 
 
 def apply_ry(state: StateVector, target: int, angle: float) -> StateVector:
@@ -167,7 +195,7 @@ def apply_ry(state: StateVector, target: int, angle: float) -> StateVector:
     state.check_qubit(target)
     if not math.isfinite(angle):
         raise ValueError(f"rotation angle must be finite, got {angle}")
-    return _wrap(state, _apply_1q_matrix(state, ry_matrix(angle), target))
+    return _apply_controlled_2x2(state, ry_matrix(angle), target)
 
 
 def apply_phase(state: StateVector, target: int, angle: float) -> StateVector:
@@ -175,39 +203,14 @@ def apply_phase(state: StateVector, target: int, angle: float) -> StateVector:
     state.check_qubit(target)
     if not math.isfinite(angle):
         raise ValueError(f"phase angle must be finite, got {angle}")
-    amps = state.amplitudes.copy()
-    idx = np.arange(state.dim)
-    sel = ((idx >> target) & 1) == 1
-    amps[sel] *= np.exp(1j * angle)
-    return _wrap(state, amps)
-
-
-def _control_mask(state: StateVector, controls) -> np.ndarray:
-    idx = np.arange(state.dim)
-    mask = np.ones(state.dim, dtype=bool)
-    for qubit, required in controls:
-        state.check_qubit(qubit)
-        mask &= ((idx >> qubit) & 1) == int(required)
-    return mask
+    return _apply_controlled_2x2(state, _phase_matrix(angle), target)
 
 
 def apply_multi_controlled(state: StateVector, controls, target: int) -> StateVector:
     """Flip ``target`` on basis states whose control qubits match the given
     pattern. ``controls`` is a sequence of ``(qubit, required_bit)`` pairs."""
     state.check_qubit(target)
-    control_qubits = {q for q, _ in controls}
-    if target in control_qubits:
-        raise ValueError(f"target qubit {target} overlaps a control")
-    if len(control_qubits) != len(list(controls)):
-        raise ValueError("duplicate control qubit")
-    mask = _control_mask(state, controls)
-    amps = state.amplitudes.copy()
-    idx = np.arange(state.dim)
-    lo = mask & (((idx >> target) & 1) == 0)
-    src = idx[lo]
-    dst = src | (1 << target)
-    amps[src], amps[dst] = amps[dst], amps[src].copy()
-    return _wrap(state, amps)
+    return _apply_controlled_2x2(state, _X_MATRIX, target, controls)
 
 
 def apply_controlled_not(
@@ -224,21 +227,7 @@ def apply_controlled_ry(
 ) -> StateVector:
     if control == target:
         raise ValueError("control and target must differ")
-    state.check_qubit(control)
-    state.check_qubit(target)
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle must be finite, got {angle}")
-    amps = state.amplitudes.copy()
-    idx = np.arange(state.dim)
-    on = ((idx >> control) & 1) == 1
-    t0 = on & (((idx >> target) & 1) == 0)
-    src = idx[t0]
-    dst = src | (1 << target)
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    a0, a1 = amps[src].copy(), amps[dst].copy()
-    amps[src] = c * a0 - s * a1
-    amps[dst] = s * a0 + c * a1
-    return _wrap(state, amps)
+    return apply_multi_controlled_ry(state, [(control, 1)], target, angle)
 
 
 def apply_multi_controlled_ry(
@@ -246,22 +235,9 @@ def apply_multi_controlled_ry(
 ) -> StateVector:
     """Rotate ``target`` about Y on basis states matching the control pattern."""
     state.check_qubit(target)
-    control_qubits = {q for q, _ in controls}
-    if target in control_qubits:
-        raise ValueError(f"target qubit {target} overlaps a control")
     if not math.isfinite(angle):
         raise ValueError(f"rotation angle must be finite, got {angle}")
-    mask = _control_mask(state, controls)
-    amps = state.amplitudes.copy()
-    idx = np.arange(state.dim)
-    lo = mask & (((idx >> target) & 1) == 0)
-    src = idx[lo]
-    dst = src | (1 << target)
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    a0, a1 = amps[src].copy(), amps[dst].copy()
-    amps[src] = c * a0 - s * a1
-    amps[dst] = s * a0 + c * a1
-    return _wrap(state, amps)
+    return _apply_controlled_2x2(state, ry_matrix(angle), target, controls)
 
 
 def apply_controlled_phase(
@@ -270,10 +246,10 @@ def apply_controlled_phase(
     """diag(1,1,1,e^{i*angle}); symmetric in control and target."""
     if control == target:
         raise ValueError("control and target must differ")
-    mask = _control_mask(state, [(control, 1), (target, 1)])
-    amps = state.amplitudes.copy()
-    amps[mask] *= np.exp(1j * angle)
-    return _wrap(state, amps)
+    state.check_qubit(target)
+    if not math.isfinite(angle):
+        raise ValueError(f"phase angle must be finite, got {angle}")
+    return _apply_controlled_2x2(state, _phase_matrix(angle), target, [(control, 1)])
 
 
 def apply_swap(state: StateVector, qubit_a: int, qubit_b: int) -> StateVector:
@@ -281,11 +257,9 @@ def apply_swap(state: StateVector, qubit_a: int, qubit_b: int) -> StateVector:
         return StateVector(state.n_qubits, state.amplitudes.copy())
     state.check_qubit(qubit_a)
     state.check_qubit(qubit_b)
-    idx = np.arange(state.dim)
-    bit_a = (idx >> qubit_a) & 1
-    bit_b = (idx >> qubit_b) & 1
-    swapped = idx ^ ((bit_a ^ bit_b) * ((1 << qubit_a) | (1 << qubit_b)))
-    return _wrap(state, state.amplitudes[swapped].copy())
+    n = state.n_qubits
+    tensor = state.amplitudes.reshape((2,) * n)
+    return _wrap(state, np.swapaxes(tensor, n - 1 - qubit_a, n - 1 - qubit_b).flatten())
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +336,16 @@ def apply_controlled_swap_span(
     qubits = set(span_a.qubits) | set(span_b.qubits)
     if len(qubits) != 2 * span_a.width or control in qubits:
         raise ValueError("swap spans and control must be disjoint")
-    idx = np.arange(state.dim)
-    va = span_a.value_of(idx)
-    vb = span_b.value_of(idx)
-    swapped = (
-        (idx & ~(span_a.mask | span_b.mask))
-        | (vb << span_a.offset)
-        | (va << span_b.offset)
-    )
-    on = ((idx >> control) & 1) == 1
-    source = np.where(on, swapped, idx)
-    return _wrap(state, state.amplitudes[source].copy())
+    n = state.n_qubits
+    axes = list(range(n))
+    for qa, qb in zip(span_a.qubits, span_b.qubits):
+        axes[n - 1 - qa], axes[n - 1 - qb] = n - 1 - qb, n - 1 - qa
+    on = [slice(None)] * n
+    on[n - 1 - control] = slice(1, 2)
+    on = tuple(on)
+    amps = state.amplitudes.copy()
+    amps.reshape((2,) * n)[on] = state.amplitudes.reshape((2,) * n)[on].transpose(axes)
+    return _wrap(state, amps)
 
 
 def cswap_test(state: StateVector, control: int, span_a, span_b) -> StateVector:
@@ -436,7 +409,8 @@ def born_probabilities(state: StateVector, span) -> np.ndarray:
     view = _span_view(np.abs(state.amplitudes) ** 2, state.n_qubits, span)
     probs = view.sum(axis=(0, 2))
     total = probs.sum()
-    assert abs(total - 1.0) < NORM_TOL * state.dim, f"probabilities sum to {total}"
+    if not abs(total - 1.0) < NORM_TOL * state.dim:
+        raise StateCorruptionError(f"probabilities sum to {total}")
     return probs
 
 

@@ -222,7 +222,8 @@ def correlation_term(inputs: KeyRateInputs, operators: FockOperatorSet | None = 
         operators = build_tau(inputs.constellation, inputs.fock_cutoff)
     a_op = operators.lowering
     trace = np.trace(operators.tau_sqrt @ a_op @ operators.tau_sqrt @ a_op.conj().T)
-    assert abs(trace.imag) < 1e-9, f"correlation trace has imaginary residue {trace.imag}"
+    if not abs(trace.imag) < 1e-9:
+        raise KeyRateDomainError(f"correlation trace has imaginary residue {trace.imag}")
 
     dressed = operators.tau_sqrt @ a_op @ operators.tau_inv_sqrt
     number_like = dressed.conj().T @ dressed
