@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qknn.similarity import required_iterations as estimation_iteration_count
+
 
 # ---------------------------------------------------------------------------
 # confusion matrix and precision
@@ -172,17 +174,9 @@ def complexity_quantum(feature_dim: int, training_size: int, k: int, delta: floa
     M*log2(U)^2 + R + sqrt(k*M) + k with R = ceil(pi*(pi+1)/delta)."""
     if min(feature_dim, training_size, k) < 1:
         raise ValueError("arguments must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     u, m = float(feature_dim), float(training_size)
     r = estimation_iteration_count(delta)
     return m * math.log2(u) ** 2 + r + math.sqrt(k * m) + float(k)
-
-
-def estimation_iteration_count(delta: float) -> int:
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return math.ceil(math.pi * (math.pi + 1.0) / delta)
 
 
 def complexity_report(feature_dim: int, training_size: int, k: int, delta: float) -> ComplexityReport:

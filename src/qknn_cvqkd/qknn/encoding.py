@@ -6,16 +6,21 @@ overlap:
 
     amplitude qubit | marker qubit (|1>) | feature-index register | ...
 
-The training state additionally carries a sample-index register below a
-scratch register used by the value-loading oracle. Index kets are 1-based:
-a feature-index register of width ceil(log2(U+1)) holds values 1..U.
+The training state additionally carries a sample-index register on top.
+Index kets are 1-based: a feature-index register of width ceil(log2(U+1))
+holds values 1..U. The training state is written in closed form,
 
-The value-loading oracle writes the rank of ``v[j][i]`` among the distinct
-feature values into the scratch register; a rank-controlled rotation then
-loads sqrt(1-v^2)|0> + v|1> onto the amplitude qubit, and the inverse oracle
-disentangles the scratch register again. Working with ranks instead of
-fixed-point digits keeps the rotation angles exact, so the encoded state
-matches the closed form to machine precision.
+    (1/sqrt(M*U)) sum_{j=1..M} sum_{i=1..U} |j>|i>|1>(sqrt(1-v_ji^2)|0> + v_ji|1>),
+
+and a query or single-row state is the same sum with M = 1 and no index
+register. On hardware the values would be loaded by a QRAM-style oracle
+(Giovannetti, Lloyd and Maccone, PRL 100, 160501, 2008) that writes the rank
+of v_ji among the distinct feature values into a scratch register, a
+rank-controlled RY, and the inverse oracle, which returns the scratch
+register to |0>. ``strip_scratch=False`` reserves that register: the state
+is tensored with |0> on a ``scratch`` span of ceil(log2(#distinct values))
+qubits (at least one) above the data registers, so the layout reports the
+width the oracle needs.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import qsim
-from ..qsim import RegisterLayout, Span, StateVector
+from ..qsim import RegisterLayout, StateVector
 from .dataset import TrainingSet
 
 
@@ -98,11 +103,9 @@ def prepare_uniform_superposition(
             success_probability = float(flag_probs[0])
         outcome = qsim.measure(state, (over_flag, 2), rng)
         if outcome.bits == 0:
-            collapsed = outcome.post_state
-            index_amps = np.zeros(1 << m, dtype=np.complex128)
+            # the index register sits at offset 0 below the |count> bound
             base = count << layout["bound"].offset
-            for j in range(1 << m):
-                index_amps[j] = collapsed.amplitudes[base | j]
+            index_amps = outcome.post_state.amplitudes[base : base + (1 << m)].copy()
             return UniformPrepResult(
                 state=StateVector(m, index_amps),
                 attempts=attempt,
@@ -125,86 +128,32 @@ class EncodedState:
     layout: RegisterLayout
 
 
-def _rank_oracle_permutation(
-    n_qubits: int,
-    ranks: np.ndarray,
-    index_span: Span | None,
-    feature_span: Span,
-    scratch_span: Span,
-) -> np.ndarray:
-    """Basis permutation XOR-ing rank(v[j][i]) into the scratch register.
-
-    XOR against a function of untouched registers is an involution, so the
-    same permutation implements the inverse oracle.
-    """
-    idx = np.arange(1 << n_qubits)
-    i_vals = feature_span.value_of(idx)
-    j_vals = index_span.value_of(idx) if index_span is not None else np.ones_like(idx)
-    m_count, u_count = ranks.shape
-    valid = (j_vals >= 1) & (j_vals <= m_count) & (i_vals >= 1) & (i_vals <= u_count)
-    written = np.zeros_like(idx)
-    written[valid] = ranks[j_vals[valid] - 1, i_vals[valid] - 1]
-    return idx ^ (written << scratch_span.offset)
-
-
-def _apply_permutation(state: StateVector, permutation: np.ndarray) -> StateVector:
-    return StateVector(state.n_qubits, state.amplitudes[permutation].copy())
-
-
 def _encode(features: np.ndarray, with_index: bool, strip_scratch: bool) -> EncodedState:
-    """Shared construction for the training superposition and query states."""
+    """Write sum_{j,i} |j>|i>|1>(sqrt(1-v^2)|0> + v|1>) / sqrt(M*U) directly.
+
+    Without the index register the sum runs over i alone (M = 1). With
+    ``strip_scratch=False`` the state carries a |0> scratch register on top,
+    as wide as the value-loading oracle's rank register.
+    """
     features = _check_unit_range(np.atleast_2d(features))
     m_count, u_count = features.shape
-
-    values, ranks_flat = np.unique(features, return_inverse=True)
-    ranks = ranks_flat.reshape(features.shape)
-    scratch_width = max(1, math.ceil(math.log2(max(values.size, 2))))
 
     names = {"amplitude": 1, "marker": 1, "feature": index_register_width(u_count)}
     if with_index:
         names["index"] = index_register_width(m_count)
-    names["scratch"] = scratch_width
+    if not strip_scratch:
+        names["scratch"] = math.ceil(math.log2(max(np.unique(features).size, 2)))
     layout = RegisterLayout.build(**names)
 
-    feature_span = layout["feature"]
-    index_span = layout["index"] if with_index else None
-    scratch_span = layout["scratch"]
-
-    # superposition over the valid (j, i) kets with the marker qubit set
+    j, i = np.meshgrid(np.arange(1, m_count + 1), np.arange(1, u_count + 1), indexing="ij")
+    kets = (i << layout["feature"].offset) | (1 << layout["marker"].offset)
+    if with_index:
+        kets |= j << layout["index"].offset
+    weight = 1.0 / math.sqrt(features.size)
     amps = np.zeros(1 << layout.n_qubits, dtype=np.complex128)
-    marker_bit = 1 << layout["marker"].offset
-    weight = 1.0 / math.sqrt(m_count * u_count) if with_index else 1.0 / math.sqrt(u_count)
-    for j in range(1, m_count + 1):
-        base = (j << index_span.offset) if with_index else 0
-        for i in range(1, u_count + 1):
-            amps[base | (i << feature_span.offset) | marker_bit] = weight
-    state = StateVector(layout.n_qubits, amps)
-
-    permutation = _rank_oracle_permutation(
-        layout.n_qubits, ranks, index_span, feature_span, scratch_span
-    )
-    state = _apply_permutation(state, permutation)
-    scratch_controls = list(scratch_span.qubits)
-    for rank, value in enumerate(values):
-        pattern = [(q, (rank >> p) & 1) for p, q in enumerate(scratch_controls)]
-        state = qsim.apply_multi_controlled_ry(
-            state, pattern, layout["amplitude"].offset, 2.0 * math.asin(float(value))
-        )
-    state = _apply_permutation(state, permutation)
-
-    if not strip_scratch:
-        return EncodedState(state, layout)
-
-    # the inverse oracle must have returned the scratch register to |0>
-    scratch_probs = qsim.born_probabilities(state, scratch_span)
-    if not scratch_probs[0] > 1.0 - 1e-12:
-        raise qsim.StateCorruptionError("scratch register still entangled")
-    kept = state.amplitudes[: 1 << scratch_span.offset].copy()
-    kept /= np.linalg.norm(kept)
-    stripped_layout = RegisterLayout.build(
-        **{k: v for k, v in names.items() if k != "scratch"}
-    )
-    return EncodedState(StateVector(scratch_span.offset, kept), stripped_layout)
+    amps[kets] = np.sqrt(1.0 - features**2) * weight
+    amps[kets | 1] = features * weight
+    return EncodedState(StateVector(layout.n_qubits, amps), layout)
 
 
 def prepare_training_state(train: TrainingSet | np.ndarray, strip_scratch: bool = True) -> EncodedState:

@@ -10,10 +10,12 @@ on an index-register state vector and measures it; ``analytic`` draws the
 measurement outcome from the same closed-form distribution without a state
 vector, which is how training sizes far beyond the qubit budget stay
 reachable. When the marked count is unknown the driver grows its iteration
-bound geometrically and restarts on failure; this simulator uses its
-knowledge of the marked set only to stop the schedule once nothing is left
-to find (a hardware run would stop after a fixed failure budget instead),
-never to bias which item is found.
+bound geometrically by 6/5 and restarts on failure (Boyer, Brassard, Hoyer
+and Tapp, Fortschr. Phys. 46, 493, 1998). Both schedules stop after
+``max_attempts`` failed attempts and flag the run as exhausted, which is not
+the same outcome as an empty marked set. This simulator uses its knowledge
+of the marked set only to skip the search when nothing is marked, never to
+bias which item is found.
 """
 from __future__ import annotations
 
@@ -26,6 +28,11 @@ from .. import qsim
 from .similarity import SimilarityTable
 
 BOUND_GROWTH = 6.0 / 5.0  # geometric growth of the unknown-t iteration bound
+
+
+class SearchExhaustedError(RuntimeError):
+    """Raised when a Grover search spends its attempt budget without a hit
+    although marked items exist."""
 
 
 def rotation_angle(total: int, marked: int) -> float:
@@ -60,13 +67,15 @@ def success_probability(total: int, marked: int, iterations: int) -> float:
 class GroverRunReport:
     """Trace of one search: per-attempt iteration counts, total oracle
     applications (one per Grover iteration), classical verifications of
-    measured candidates, and the found index if any."""
+    measured candidates, and the found index if any. ``exhausted`` is set
+    when marked items exist but ``max_attempts`` attempts all failed."""
 
     found_index: int | None = None
     success: bool = False
     iterations_per_attempt: list[int] = field(default_factory=list)
     oracle_calls: int = 0
     verifications: int = 0
+    exhausted: bool = False
 
 
 def _gate_attempt(
@@ -112,7 +121,8 @@ def grover_find_greater(
     """Search for an eligible row whose similarity exceeds ``threshold``.
 
     ``eligible`` restricts the marked set (the candidate pool); absence of
-    any match is a valid outcome reported as ``found_index=None``. The index
+    any match is a valid outcome reported as ``found_index=None`` with
+    ``exhausted=False``; a budget spent without a hit sets ``exhausted``. The index
     space is padded to ``space_size`` (default: the table size rounded up to
     a power of two in gate mode) so the circuit stays realizable; padding
     values are never marked.
@@ -154,11 +164,12 @@ def grover_find_greater(
                 report.found_index = found
                 report.success = True
                 return report
+        report.exhausted = True
         return report
 
     # unknown marked count: geometrically growing iteration bound
     bound = 1.0
-    while True:
+    for _ in range(max_attempts):
         iterations = int(rng.integers(0, max(1, int(math.ceil(bound)))))
         report.iterations_per_attempt.append(iterations)
         report.oracle_calls += iterations
@@ -169,6 +180,8 @@ def grover_find_greater(
             report.success = True
             return report
         bound = min(BOUND_GROWTH * bound, sqrt_space)
+    report.exhausted = True
+    return report
 
 
 @dataclass
@@ -196,10 +209,15 @@ def k_maximal_find(
 ) -> tuple[NeighborSet, KMaximalReport]:
     """Iteratively improve a random k-subset until no excluded row beats its
     weakest member; with distinct similarities the result is the exact top k.
+    This is the threshold-raising scheme of Durr and Hoyer's minimum finding
+    (arXiv:quant-ph/9607014, 1996) applied to the weakest selected row.
 
     Each round searches the complement for a row whose similarity exceeds
     the current minimum over the selected set and swaps it in; the minimum
     holder is chosen by (value, index) so ties resolve to the lowest index.
+    A row swapped out held the minimum and later thresholds never drop below
+    it, so it never re-enters: at most M - k swaps, hence M - k + 1 rounds.
+    Raises ``SearchExhaustedError`` if a round runs out of attempts.
     """
     values = table.ranking_value
     count = values.size
@@ -211,7 +229,7 @@ def k_maximal_find(
     report = KMaximalReport()
 
     if k < count:
-        while True:
+        for _ in range(count - k + 1):
             selected_idx = np.flatnonzero(selected)
             weakest = selected_idx[np.argmin(values[selected_idx])]
             run = grover_find_greater(
@@ -225,11 +243,17 @@ def k_maximal_find(
             report.rounds.append(run)
             report.oracle_calls += run.oracle_calls
             report.verifications += run.verifications
+            if run.exhausted:
+                raise SearchExhaustedError(
+                    f"round {len(report.rounds)}: no hit in {len(run.iterations_per_attempt)} attempts"
+                )
             if not run.success:
                 break
             selected[weakest] = False
             selected[run.found_index] = True
             report.replacements += 1
+        else:
+            raise RuntimeError(f"no convergence after {count - k + 1} rounds")
 
     chosen = np.flatnonzero(selected)
     rest = np.flatnonzero(~selected)

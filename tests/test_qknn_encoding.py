@@ -11,6 +11,7 @@ from qknn_cvqkd.qknn import (
     gate_fidelity,
     pairwise_fidelity,
     prepare_query_state,
+    prepare_training_row_state,
     prepare_training_state,
     prepare_uniform_superposition,
 )
@@ -98,6 +99,50 @@ def test_training_state_random_matches_term_expansion():
     encoded = prepare_training_state(features)
     expected = _expected_training_amplitudes(features)
     assert np.abs(encoded.state.amplitudes - expected).max() < 1e-10
+
+
+def _repeated_and_extreme_rows() -> np.ndarray:
+    features = RNG(10).choice([0.0, 0.25, 0.6, 1.0], size=(9, 5))
+    features[0] = 0.0
+    features[1] = 1.0
+    return features
+
+
+@pytest.mark.parametrize(
+    "features",
+    [
+        RNG(11).uniform(size=(64, 4)),
+        RNG(12).uniform(size=(200, 7)),
+        _repeated_and_extreme_rows(),
+    ],
+    ids=["64x4", "200x7", "repeated-and-extreme"],
+)
+def test_training_state_matches_term_expansion_at_scale(features):
+    encoded = prepare_training_state(features)
+    expected = _expected_training_amplitudes(features)
+    assert np.abs(encoded.state.amplitudes - expected).max() < 1e-10
+
+
+def test_training_row_state_equals_query_state_of_that_row():
+    features = _repeated_and_extreme_rows()
+    for j in range(features.shape[0]):
+        row = prepare_training_row_state(features, j)
+        query = prepare_query_state(features[j])
+        assert np.array_equal(row.state.amplitudes, query.state.amplitudes)
+        assert row.layout == query.layout
+
+
+@pytest.mark.parametrize(
+    "values, width",
+    [([0.3], 1), ([0.1, 0.9], 1), ([0.0, 0.5, 1.0], 2), ([0.1] + [0.2] * 3 + [0.4, 0.5, 0.6, 0.7, 0.8], 3)],
+)
+def test_unstripped_scratch_width_counts_distinct_values(values, width):
+    features = np.array([values])
+    full = prepare_training_state(features, strip_scratch=False)
+    stripped = prepare_training_state(features)
+    scratch = full.layout["scratch"]
+    assert scratch.width == width and scratch.offset == stripped.state.n_qubits
+    assert np.array_equal(full.state.amplitudes[: 1 << scratch.offset], stripped.state.amplitudes)
 
 
 def test_training_state_scratch_register_disentangled():

@@ -1,4 +1,5 @@
 """Grover search: closed forms, gate-level amplification, k-maximal finding."""
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -13,6 +14,8 @@ from qknn_cvqkd.qknn import (
     optimal_iterations,
     success_probability,
 )
+from qknn_cvqkd.qknn import search
+from qknn_cvqkd.qknn.search import SearchExhaustedError
 from qknn_cvqkd.qknn.similarity import SimilarityTable
 
 RNG = np.random.default_rng
@@ -164,6 +167,46 @@ def test_find_greater_respects_eligibility_mask():
     for seed in range(10):
         report = grover_find_greater(table, 20.0, RNG(seed), eligible=eligible)
         assert report.success and 20.0 < values[report.found_index] < 24.0
+
+
+MAX_ATTEMPTS = inspect.signature(grover_find_greater).parameters["max_attempts"].default
+
+
+@pytest.fixture
+def failing_attempts(monkeypatch):
+    """Make every analytic attempt miss; a loop that ignores its budget
+    fails the test instead of hanging."""
+    calls = []
+
+    def never_found(total, marked_values, iterations, rng):
+        calls.append(iterations)
+        if len(calls) > MAX_ATTEMPTS:
+            pytest.fail(f"attempt {len(calls)} exceeds the budget of {MAX_ATTEMPTS}")
+        return None
+
+    monkeypatch.setattr(search, "_analytic_attempt", never_found)
+    return calls
+
+
+@pytest.mark.parametrize("known_count", [False, True])
+def test_find_greater_flags_an_exhausted_budget(failing_attempts, known_count):
+    table = make_table(np.arange(16.0))
+    report = grover_find_greater(table, 7.5, RNG(0), known_count=known_count)
+    assert report.exhausted and not report.success and report.found_index is None
+    assert len(report.iterations_per_attempt) == MAX_ATTEMPTS == len(failing_attempts)
+    assert report.verifications == MAX_ATTEMPTS
+
+
+def test_find_greater_absence_is_not_exhaustion():
+    report = grover_find_greater(make_table(np.arange(16.0)), 15.0, RNG(0))
+    assert not report.success and not report.exhausted
+
+
+def test_k_maximal_raises_on_an_exhausted_round(failing_attempts):
+    table = make_table(RNG(7).permutation(16).astype(float))
+    with pytest.raises(SearchExhaustedError):
+        k_maximal_find(table, 3, RNG(8))
+    assert len(failing_attempts) == MAX_ATTEMPTS
 
 
 # ---------------------------------------------------------------------------
