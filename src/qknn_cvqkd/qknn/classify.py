@@ -152,8 +152,6 @@ def qknn_predict(
     rng: np.random.Generator,
     mode: str = "analytic",
     delta: float = 0.1,
-    iterations: int | None = None,
-    known_count: bool = False,
 ) -> QknnPrediction:
     """Quantum-pipeline prediction for one query.
 
@@ -163,12 +161,8 @@ def qknn_predict(
     """
     if not 1 <= k <= train.size:
         raise ValueError(f"k must lie in 1..{train.size}, got {k}")
-    table = compute_similarity_table(
-        train, query, mode=mode, delta=delta, iterations=iterations
-    )
-    neighbors, report = k_maximal_find(
-        table, k, rng, mode=mode, known_count=known_count
-    )
+    table = compute_similarity_table(train, query, mode=mode, delta=delta)
+    neighbors, report = k_maximal_find(table, k, rng, mode=mode)
     chosen = np.asarray(neighbors.selected, dtype=int)
     labels = train.labels[chosen]
     return QknnPrediction(

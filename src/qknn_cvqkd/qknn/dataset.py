@@ -12,16 +12,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    """One data point: normalized features in [0,1], a 1-based sector label,
-    and the raw heterodyne outcome it came from."""
-
-    features: np.ndarray
-    label: int
-    quadratures: tuple[float, float] | None = None
-
-
-@dataclass(frozen=True)
 class FeatureScaler:
     """Per-feature min-max record fitted on a training set."""
 
@@ -106,18 +96,6 @@ class TrainingSet:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def samples(self) -> list[LabeledSample]:
-        quads = self.quadratures
-        return [
-            LabeledSample(
-                features=self.features[j],
-                label=int(self.labels[j]),
-                quadratures=None if quads is None else (float(quads[j, 0]), float(quads[j, 1])),
-            )
-            for j in range(self.size)
-        ]
 
     def normalize_queries(self, raw_features: np.ndarray) -> np.ndarray:
         """Scale query features with the training scaler, clamped to [0, 1]."""

@@ -87,24 +87,22 @@ def prepare_uniform_superposition(
     over_flag = layout["over"].offset
     zero_flag = layout["zero"].offset
 
-    success_probability = None
+    # the index register sits at offset 0 below the |count> bound
+    base = count << layout["bound"].offset
+    state = qsim.basis_state(layout.n_qubits, base)
+    for q in layout["index"].qubits:
+        state = qsim.apply_hadamard(state, q)
+    state = qsim.apply_multi_controlled(
+        state, [(q, 0) for q in layout["index"].qubits], zero_flag
+    )
+    state = qsim.apply_cmp(
+        state, layout["index"], layout["bound"], over_flag, method=cmp_method
+    )
+    success_probability = float(qsim.born_probabilities(state, (over_flag, 2))[0])
+    # the circuit is deterministic up to the measurement, so only that repeats
     for attempt in range(1, max_attempts + 1):
-        state = qsim.basis_state(layout.n_qubits, count << layout["bound"].offset)
-        for q in layout["index"].qubits:
-            state = qsim.apply_hadamard(state, q)
-        state = qsim.apply_multi_controlled(
-            state, [(q, 0) for q in layout["index"].qubits], zero_flag
-        )
-        state = qsim.apply_cmp(
-            state, layout["index"], layout["bound"], over_flag, method=cmp_method
-        )
-        if success_probability is None:
-            flag_probs = qsim.born_probabilities(state, (over_flag, 2))
-            success_probability = float(flag_probs[0])
         outcome = qsim.measure(state, (over_flag, 2), rng)
         if outcome.bits == 0:
-            # the index register sits at offset 0 below the |count> bound
-            base = count << layout["bound"].offset
             index_amps = outcome.post_state.amplitudes[base : base + (1 << m)].copy()
             return UniformPrepResult(
                 state=StateVector(m, index_amps),

@@ -1,23 +1,28 @@
 """Similarity tables: swap-test probabilities, their amplitude estimates,
 and the integer similarity register values the search stage consumes.
 
-Two execution modes share one contract:
+Two execution modes share one contract. ``analytic`` uses the closed-form
+fidelity and exact swap-test probabilities and ranks on the continuous
+similarity, so ordering is exact (the register value is still reported).
+``gate`` measures each swap-test probability on the simulated circuit,
+amplitude-estimates it and ranks on the integer register contents, as the
+search hardware would.
 
-- ``analytic`` uses the closed-form fidelity and exact swap-test
-  probabilities. Ranking uses the continuous similarity value, so ordering
-  is exact; the quantized register value is still reported.
-- ``gate`` measures each swap-test probability from the simulated circuit
-  and runs gate-level amplitude estimation on it. Ranking uses the integer
-  register contents, as the search hardware would.
+Amplitude estimation phase-estimates the amplification operator, a rotation
+by 2*theta (a = sin^2 theta), on a counting register of grid G = 2^m. Its
+outcome distribution is known in closed form (Brassard, Hoyer, Mosca and
+Tapp, Contemp. Math. 305, 53 (2002), Thm 11), an equal mixture of two Fejer
+kernels at the eigenphases +-theta/pi:
 
-Amplitude estimation simulates phase estimation of the amplification
-operator. That operator acts as a plane rotation by twice the encoded angle
-on the span of the good and bad components (its two eigenphases), which lets
-the circuit carry the full counting register while the rotated pair is held
-as one qubit; the simulated circuit is exactly equivalent to phase-estimating
-the amplification operator on the complete swap-test system. The returned
-estimate is the modal measurement outcome, which keeps the estimator
-deterministic and always inside the stated error bound.
+    P(sigma) = [F(sigma/G - theta/pi) + F(sigma/G + theta/pi)] / 2,
+    F(x) = sin^2(pi G x) / (G sin(pi x))^2,  F = 1 where sin(pi x) = 0.
+
+All estimates are read off this distribution, every row at once; the tests
+keep the gate-by-gate circuit as the reference. The estimate is
+sin^2(pi sigma/G) at the modal outcome, deterministic and inside the error
+bound. P is symmetric under sigma -> G - sigma, and which mirror outcome
+``argmax`` meets first turns on rounding, so the mode is folded to
+min(sigma, G - sigma) to make the register value independent of it.
 """
 from __future__ import annotations
 
@@ -26,12 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import qsim
-from ..qsim import RegisterLayout, StateVector
 from .dataset import TrainingSet
 from .encoding import (
     fidelity_to_rows,
-    index_register_width,
     prepare_query_state,
     prepare_training_row_state,
     swap_test_p_zero,
@@ -65,44 +67,46 @@ class AmplitudeEstimate:
     distribution: np.ndarray = field(repr=False)
 
 
-def amplitude_estimate(
-    amplitude: float, iterations: int, m_bits: int | None = None
-) -> AmplitudeEstimate:
-    """Gate-level phase estimation of a good-subspace probability.
+def _fejer(x: np.ndarray, grid: int) -> np.ndarray:
+    """F(x) = sin^2(pi G x) / (G sin(pi x))^2, with F = 1 where sin(pi x) = 0."""
+    x = x - np.round(x)  # F has period 1; sin(pi x) vanishes only at x = 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kernel = (np.sin(np.pi * grid * x) / (grid * np.sin(np.pi * x))) ** 2
+    return np.where(x == 0.0, 1.0, kernel)
 
-    The counting register holds ``m_bits`` qubits (default: enough for a
-    grid at least as fine as ``iterations``); Hadamards, the controlled
-    powers of the amplification rotation, and the inverse Fourier transform
-    produce the outcome distribution, whose mode sigma yields the estimate
-    sin^2(pi*sigma/grid).
-    """
-    if not 0.0 <= amplitude <= 1.0:
-        raise ValueError(f"amplitude must lie in [0, 1], got {amplitude}")
+
+def _estimate_amplitudes(amplitudes, iterations: int):
+    """Modal estimates of every amplitude: (estimates, folded modes, grid,
+    (rows, grid) outcome distribution)."""
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    # a simulated swap test can read P(0) a few ulps above 1: clip rounding, reject the rest
+    in_range = (amplitudes >= -1e-12) & (amplitudes <= 1.0 + 1e-12)
+    if not np.all(in_range):
+        raise ValueError(f"amplitudes must lie in [0, 1], got {amplitudes[~in_range]}")
     if iterations < 1:
         raise ValueError("need at least one operator iteration")
-    if m_bits is None:
-        m_bits = max(1, math.ceil(math.log2(iterations)))
-    grid = 1 << m_bits
+    grid = 1 << max(1, math.ceil(math.log2(iterations)))
 
-    theta = math.asin(math.sqrt(amplitude))
-    state = qsim.new_register(m_bits + 1)
-    state = qsim.apply_ry(state, 0, 2.0 * theta)  # |gamma> in the rotation plane
-    for t in range(m_bits):
-        state = qsim.apply_hadamard(state, 1 + t)
-    for t in range(m_bits):
-        # controlled Q^(2^t); Q rotates the plane by 2*theta
-        state = qsim.apply_controlled_ry(state, 1 + t, 0, 4.0 * theta * (1 << t))
-    state = qsim.apply_iqft(state, (1, m_bits))
+    phase = np.arcsin(np.sqrt(np.clip(amplitudes, 0.0, 1.0)))[:, None] / np.pi
+    outcomes = np.arange(grid) / grid
+    distribution = 0.5 * (_fejer(outcomes - phase, grid) + _fejer(outcomes + phase, grid))
+    modes = np.argmax(distribution, axis=1)
+    folded = np.minimum(modes, grid - modes)
+    # one table per grid, so a row's estimate does not depend on the batch
+    estimates = np.sin(np.pi * np.arange(grid // 2 + 1) / grid)[folded] ** 2
+    return estimates, folded, grid, distribution
 
-    distribution = qsim.born_probabilities(state, (1, m_bits))
-    sigma = int(np.argmax(distribution))
-    estimate = math.sin(math.pi * sigma / grid) ** 2
+
+def amplitude_estimate(amplitude: float, iterations: int) -> AmplitudeEstimate:
+    """Amplitude estimation of one good-subspace probability, on the
+    smallest grid at least as fine as ``iterations``."""
+    estimates, folded, grid, distribution = _estimate_amplitudes([amplitude], iterations)
     return AmplitudeEstimate(
-        estimate=estimate,
-        register_value=sigma,
+        estimate=float(estimates[0]),
+        register_value=int(folded[0]),
         grid_size=grid,
         iterations_requested=iterations,
-        distribution=distribution,
+        distribution=distribution[0],
     )
 
 
@@ -135,8 +139,6 @@ def compute_similarity_table(
     query: np.ndarray,
     mode: str = "analytic",
     delta: float = 0.1,
-    iterations: int | None = None,
-    m_bits: int | None = None,
 ) -> SimilarityTable:
     """Build the similarity record of one query against every training row."""
     if mode not in ("analytic", "gate"):
@@ -144,8 +146,6 @@ def compute_similarity_table(
     features = train.features if isinstance(train, TrainingSet) else np.asarray(train, float)
     query = np.asarray(query, dtype=float)
     count = features.shape[0]
-    if iterations is None:
-        iterations = required_iterations(delta)
 
     fidelity = fidelity_to_rows(features, query)
     ideal_p_zero = swap_test_probability(fidelity)
@@ -153,12 +153,12 @@ def compute_similarity_table(
     if mode == "analytic":
         estimated = ideal_p_zero.copy()
     else:
-        estimated = np.empty(count)
         query_state = prepare_query_state(query).state
-        for j in range(count):
-            row_state = prepare_training_row_state(features, j).state
-            measured_p = swap_test_p_zero(query_state, row_state)
-            estimated[j] = amplitude_estimate(measured_p, iterations, m_bits).estimate
+        measured = [
+            swap_test_p_zero(query_state, prepare_training_row_state(features, j).state)
+            for j in range(count)
+        ]
+        estimated = _estimate_amplitudes(measured, required_iterations(delta))[0]
 
     sim_continuous = (count / math.pi) * np.arcsin(np.sqrt(np.clip(estimated, 0.0, 1.0)))
     sim_register = np.minimum(np.floor(sim_continuous).astype(int), count - 1)
@@ -171,46 +171,3 @@ def compute_similarity_table(
         register_width=max(1, math.ceil(math.log2(max(count, 2)))),
         mode=mode,
     )
-
-
-@dataclass(frozen=True)
-class SimilarityState:
-    """Index-register superposition carrying every swap-test amplitude."""
-
-    state: StateVector
-    layout: RegisterLayout
-    p_zero: np.ndarray
-
-
-def similarity_superposition(
-    train: TrainingSet | np.ndarray, query: np.ndarray, mode: str = "gate"
-) -> SimilarityState:
-    """State (1/sqrt(M)) sum_j |j>(sqrt(P_j(0))|0> + sqrt(1-P_j(0))|1>).
-
-    In gate mode every P_j(0) is read off its own simulated swap test; in
-    analytic mode the closed form is used. Index kets are 1-based.
-    """
-    features = train.features if isinstance(train, TrainingSet) else np.asarray(train, float)
-    query = np.asarray(query, dtype=float)
-    count = features.shape[0]
-
-    if mode == "gate":
-        query_state = prepare_query_state(query).state
-        p_zero = np.array([
-            swap_test_p_zero(query_state, prepare_training_row_state(features, j).state)
-            for j in range(count)
-        ])
-    elif mode == "analytic":
-        p_zero = np.asarray(swap_test_probability(fidelity_to_rows(features, query)))
-    else:
-        raise ValueError(f"unknown mode '{mode}'")
-
-    p_zero = np.clip(p_zero, 0.0, 1.0)
-    layout = RegisterLayout.build(similarity=1, index=index_register_width(count))
-    amps = np.zeros(1 << layout.n_qubits, dtype=np.complex128)
-    index_offset = layout["index"].offset
-    for j in range(1, count + 1):
-        amps[(j << index_offset) | 0] = math.sqrt(p_zero[j - 1] / count)
-        amps[(j << index_offset) | 1] = math.sqrt((1.0 - p_zero[j - 1]) / count)
-    amps /= np.linalg.norm(amps)
-    return SimilarityState(StateVector(layout.n_qubits, amps), layout, p_zero)

@@ -8,7 +8,7 @@ qubits, so the integer held by a span of width ``w`` at offset ``o`` is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 
 class Span(NamedTuple):
@@ -34,16 +34,6 @@ def as_span(span) -> Span:
         return span
     offset, width = span
     return Span(int(offset), int(width))
-
-
-def spans_disjoint(spans: Iterable[Span]) -> bool:
-    used: set[int] = set()
-    for s in spans:
-        qs = set(s.qubits)
-        if used & qs:
-            return False
-        used |= qs
-    return True
 
 
 @dataclass
@@ -77,12 +67,6 @@ class RegisterLayout:
     @property
     def allocated(self) -> int:
         return sum(s.width for s in self.spans.values())
-
-    def validate(self) -> None:
-        if not spans_disjoint(self.spans.values()):
-            raise ValueError("register spans overlap")
-        if self.allocated > self.n_qubits:
-            raise ValueError("register spans exceed qubit count")
 
     @classmethod
     def build(cls, **widths: int) -> "RegisterLayout":

@@ -9,6 +9,7 @@ from qknn_cvqkd import qsim
 from qknn_cvqkd.qknn import (
     fidelity_to_rows,
     gate_fidelity,
+    index_register_width,
     pairwise_fidelity,
     prepare_query_state,
     prepare_training_row_state,
@@ -32,6 +33,26 @@ def test_uniform_prep_m4():
     expected[1:5] = 0.5
     assert np.abs(amps - expected).max() < 1e-12
     assert result.success_probability == pytest.approx(4 / 8, abs=1e-12)
+
+
+# per-seed (0..19) attempts and amplitudes as recorded with a circuit rebuilt on every
+# attempt: building it once must leave the RNG draws and the state unchanged
+UNIFORM_PREP_ATTEMPTS = {
+    3: [1, 1, 1, 1, 2, 3, 1, 1, 1, 2, 2, 1, 1, 4, 2, 1, 1, 2, 1, 1],
+    5: [2, 1, 1, 1, 2, 3, 1, 4, 1, 2, 2, 1, 1, 4, 2, 3, 1, 2, 1, 1],
+    16: [2, 3, 1, 1, 4, 4, 2, 4, 1, 2, 2, 1, 1, 4, 2, 3, 2, 2, 1, 1],
+}
+UNIFORM_PREP_AMPLITUDE = {3: 0.5773502691896257, 5: 0.4472135954999578, 16: 0.24999999999999992}
+
+
+@pytest.mark.parametrize("count", sorted(UNIFORM_PREP_ATTEMPTS))
+def test_uniform_prep_attempts_and_state_per_seed(count):
+    expected = np.zeros(1 << index_register_width(count), dtype=complex)
+    expected[1 : count + 1] = UNIFORM_PREP_AMPLITUDE[count]
+    for seed, attempts in enumerate(UNIFORM_PREP_ATTEMPTS[count]):
+        result = prepare_uniform_superposition(count, RNG(seed))
+        assert result.attempts == attempts, seed
+        assert np.array_equal(result.state.amplitudes, expected), seed
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -5,22 +5,85 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qknn_cvqkd import qsim
 from qknn_cvqkd.qknn import (
+    AmplitudeEstimate,
     amplitude_estimate,
     compute_similarity_table,
     estimation_error_bound,
-    fidelity_to_rows,
+    prepare_query_state,
+    prepare_training_row_state,
     required_iterations,
-    similarity_superposition,
-    swap_test_probability,
 )
+from qknn_cvqkd.qknn.encoding import swap_test_p_zero
 
 RNG = np.random.default_rng
+
+
+def circuit_amplitude_estimate(
+    amplitude: float, iterations: int, m_bits: int | None = None
+) -> AmplitudeEstimate:
+    """Gate-level phase estimation of a good-subspace probability.
+
+    The counting register holds ``m_bits`` qubits (default: enough for a
+    grid at least as fine as ``iterations``); Hadamards, the controlled
+    powers of the amplification rotation, and the inverse Fourier transform
+    produce the outcome distribution, whose mode sigma yields the estimate
+    sin^2(pi*sigma/grid).
+    """
+    if not 0.0 <= amplitude <= 1.0:
+        raise ValueError(f"amplitude must lie in [0, 1], got {amplitude}")
+    if iterations < 1:
+        raise ValueError("need at least one operator iteration")
+    if m_bits is None:
+        m_bits = max(1, math.ceil(math.log2(iterations)))
+    grid = 1 << m_bits
+
+    theta = math.asin(math.sqrt(amplitude))
+    state = qsim.new_register(m_bits + 1)
+    state = qsim.apply_ry(state, 0, 2.0 * theta)  # |gamma> in the rotation plane
+    for t in range(m_bits):
+        state = qsim.apply_hadamard(state, 1 + t)
+    for t in range(m_bits):
+        # controlled Q^(2^t); Q rotates the plane by 2*theta
+        state = qsim.apply_controlled_ry(state, 1 + t, 0, 4.0 * theta * (1 << t))
+    state = qsim.apply_iqft(state, (1, m_bits))
+
+    distribution = qsim.born_probabilities(state, (1, m_bits))
+    sigma = int(np.argmax(distribution))
+    estimate = math.sin(math.pi * sigma / grid) ** 2
+    return AmplitudeEstimate(
+        estimate=estimate,
+        register_value=sigma,
+        grid_size=grid,
+        iterations_requested=iterations,
+        distribution=distribution,
+    )
 
 
 # ---------------------------------------------------------------------------
 # amplitude estimation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("iterations", [2, 4, 8, 32, 131])
+def test_closed_form_matches_reference_circuit(iterations):
+    for a in np.concatenate([np.linspace(0.0, 1.0, 101), [1e-9, 1.0 - 1e-9]]):
+        circuit = circuit_amplitude_estimate(float(a), iterations)
+        est = amplitude_estimate(float(a), iterations)
+        grid = circuit.grid_size
+        assert est.grid_size == grid
+        assert np.abs(est.distribution - circuit.distribution).max() <= 1e-12, a
+        assert est.register_value == min(circuit.register_value, grid - circuit.register_value), a
+        assert est.register_value <= grid // 2
+
+
+def test_amplitude_rounding_clipped_but_larger_excess_rejected():
+    assert amplitude_estimate(1.0 + 4e-16, 131).estimate == amplitude_estimate(1.0, 131).estimate
+    assert amplitude_estimate(-1e-15, 131).estimate == 0.0
+    for a in (1.0 + 1e-9, -1e-9, float("nan")):
+        with pytest.raises(ValueError):
+            amplitude_estimate(a, 131)
+
 
 def test_estimate_exact_at_zero_and_one():
     assert amplitude_estimate(0.0, 131).estimate == 0.0
@@ -101,35 +164,24 @@ def test_analytic_similarity_monotone_in_fidelity():
     assert np.all(int_diffs >= 0)
 
 
-# ---------------------------------------------------------------------------
-# joint similarity superposition
-# ---------------------------------------------------------------------------
-
-def test_superposition_identical_rows_all_good_amplitude():
-    rows = np.tile(RNG(6).uniform(size=3), (4, 1))
-    result = similarity_superposition(rows, rows[0], mode="gate")
-    amps = result.state.amplitudes
-    offset = result.layout["index"].offset
-    for j in range(1, 5):
-        assert amps[(j << offset)] == pytest.approx(0.5, abs=1e-10)
-        assert abs(amps[(j << offset) | 1]) < 1e-7
-
-
-def test_superposition_two_rows_matches_composed_closed_form():
-    rows = np.array([[0.2, 0.9], [0.7, 0.1]])
-    query = np.array([0.25, 0.8])
-    result = similarity_superposition(rows, query, mode="gate")
-    p = swap_test_probability(fidelity_to_rows(rows, query))
-    amps = result.state.amplitudes
-    offset = result.layout["index"].offset
-    for j in (1, 2):
-        assert amps[(j << offset)] == pytest.approx(math.sqrt(p[j - 1] / 2.0), abs=1e-10)
-        assert amps[(j << offset) | 1] == pytest.approx(
-            math.sqrt((1.0 - p[j - 1]) / 2.0), abs=1e-10
-        )
+def test_gate_table_equals_per_row_amplitude_estimates():
+    rows = RNG(12).uniform(size=(16, 4))
+    query = RNG(13).uniform(size=4)
+    table = compute_similarity_table(rows, query, mode="gate", delta=0.1)
+    query_state = prepare_query_state(query).state
+    per_row = [
+        amplitude_estimate(
+            swap_test_p_zero(query_state, prepare_training_row_state(rows, j).state),
+            required_iterations(0.1),
+        ).estimate
+        for j in range(rows.shape[0])
+    ]
+    assert np.array_equal(table.estimated_p_zero, per_row)
 
 
-def test_superposition_is_normalized():
-    rows = RNG(7).uniform(size=(5, 3))
-    result = similarity_superposition(rows, RNG(8).uniform(size=3), mode="analytic")
-    assert result.state.norm_squared() == pytest.approx(1.0, abs=1e-12)
+def test_gate_table_query_equal_to_a_row():
+    # the simulated swap test of a row with itself reads P(0) a few ulps above 1
+    rows = np.array([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5]])
+    table = compute_similarity_table(rows, rows[0], mode="gate")
+    assert table.estimated_p_zero[0] == pytest.approx(1.0, abs=1e-12)
+    assert table.sim_register[0] == rows.shape[0] - 1

@@ -37,7 +37,6 @@ def test_register_layout_spans():
     assert layout["index"] == qsim.Span(0, 3)
     assert layout["feature"] == qsim.Span(3, 2)
     assert layout["flag"] == qsim.Span(5, 1)
-    layout.validate()
     with pytest.raises(ValueError):
         qsim.RegisterLayout(n_qubits=2).add("wide", 3)
 
