@@ -60,11 +60,6 @@ def precision_per_class(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return per_class, float(per_class.mean())
 
 
-def accuracy(matrix: np.ndarray) -> float:
-    matrix = np.asarray(matrix)
-    return float(np.diag(matrix).sum() / matrix.sum())
-
-
 # ---------------------------------------------------------------------------
 # ROC / AUC
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ class Constellation:
     def __post_init__(self):
         if self.n_points < 1:
             raise ValueError("constellation needs at least one point")
-        if self.modulation_variance <= 0:
-            raise ValueError("modulation variance must be positive")
+        if not 0.0 < self.modulation_variance < math.inf:  # NaN fails too
+            raise ValueError("modulation variance must be positive and finite")
 
     @property
     def amplitude(self) -> float:
@@ -64,14 +64,15 @@ class ChannelModel:
     phase_jitter_std: float = 0.0
 
     def __post_init__(self):
-        if self.distance_km < 0 or self.loss_db_per_km < 0:
-            raise ValueError("distance and loss must be non-negative")
-        if self.excess_noise < 0 or self.electronic_noise < 0:
-            raise ValueError("noise parameters must be non-negative")
+        # each test is a negated in-range comparison, so NaN fails it too
+        if not (0.0 <= self.distance_km < math.inf and 0.0 <= self.loss_db_per_km < math.inf):
+            raise ValueError("distance and loss must be non-negative and finite")
+        if not (0.0 <= self.excess_noise < math.inf and 0.0 <= self.electronic_noise < math.inf):
+            raise ValueError("noise parameters must be non-negative and finite")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError("detector efficiency must lie in (0, 1]")
-        if self.phase_jitter_std < 0:
-            raise ValueError("phase jitter must be non-negative")
+        if not (0.0 <= self.phase_jitter_std < math.inf and math.isfinite(self.phase_offset)):
+            raise ValueError("phase jitter must be non-negative and phases finite")
 
     @property
     def loss_db(self) -> float:
@@ -119,14 +120,6 @@ def detected_mean(amplitude: complex, channel: ChannelModel) -> tuple[float, flo
     scale = math.sqrt(channel.detector_efficiency * channel.transmittance)
     rotated = amplitude * np.exp(1j * channel.phase_offset)
     return 2.0 * scale * rotated.real, 2.0 * scale * rotated.imag
-
-
-def transmit_and_detect(
-    amplitude: complex, channel: ChannelModel, rng: np.random.Generator
-) -> QuadratureSample:
-    """Send one coherent state through the channel and heterodyne it."""
-    x, p = transmit_and_detect_batch(np.array([amplitude]), channel, rng)
-    return QuadratureSample(float(x[0]), float(p[0]))
 
 
 def transmit_and_detect_batch(

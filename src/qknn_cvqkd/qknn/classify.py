@@ -1,14 +1,19 @@
 """Neighbor voting: classical k-nearest-neighbor baseline and the quantum
 pipeline (similarity table -> k-maximal search -> majority vote).
 
-With exact similarities the quantum pipeline selects the same neighbor set
-as the fidelity-metric classical baseline, so the baseline doubles as its
-correctness oracle. All tie-breaking is deterministic: neighbor ordering
-falls back to the lower row index, label votes to the lower label.
+One rank rule: training rows are ordered best first by one key per
+similarity (Euclidean distance ascending, fidelity descending), and equal
+keys go to the lower row index. One vote rule: the label most of the k
+neighbors hold wins, equal counts go to the lowest label, and the scores are
+each class's share of the k votes. A single query is a batch of one.
+
+Analytic QkNN ranks rows in its k-maximal search by the same (fidelity,
+lower index) rule, so with exact similarities it selects the same neighbor
+set as fidelity kNN, also when similarities tie, and the fidelity baseline
+doubles as its correctness oracle.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,49 +23,49 @@ from .encoding import fidelity_to_rows
 from .search import KMaximalReport, k_maximal_find
 from .similarity import SimilarityTable, compute_similarity_table
 
-SIMILARITY_KINDS = ("euclidean", "cosine", "fidelity")
 
-
-def majority_vote(labels, n_classes: int | None = None) -> int:
-    """Modal label; ties resolve to the lowest label value."""
-    labels = list(labels)
-    if not labels:
-        raise ValueError("majority vote over no labels")
-    counts = Counter(labels)
-    best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-    return int(best[0])
-
-
-def euclidean_distance(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
-    return np.sqrt(((np.atleast_2d(rows) - np.asarray(query, float)) ** 2).sum(axis=1))
-
-
-def cosine_similarity(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
-    rows = np.atleast_2d(rows)
-    query = np.asarray(query, float)
-    norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(query)
-    dots = rows @ query
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(norms > 0, dots / np.where(norms > 0, norms, 1.0), 0.0)
-    return out
-
-
-def _neighbor_order(train_features: np.ndarray, query: np.ndarray, similarity: str) -> np.ndarray:
-    """Row indices sorted best-first with index tie-breaking."""
+def _neighbor_order(features: np.ndarray, queries: np.ndarray, similarity: str) -> np.ndarray:
+    """(n_queries, M) row indices, best first; equal keys keep the lower row
+    index first (stable sort)."""
+    if queries.ndim != 2 or queries.shape[1] != features.shape[1]:
+        raise ValueError(
+            f"queries must be (n_queries, {features.shape[1]}), got shape {queries.shape}"
+        )
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite")
     if similarity == "euclidean":
-        key = euclidean_distance(train_features, query)  # smaller is better
-    elif similarity == "cosine":
-        key = -cosine_similarity(train_features, query)
+        key = np.sqrt(
+            np.maximum(
+                (queries**2).sum(axis=1)[:, None]
+                - 2.0 * queries @ features.T
+                + (features**2).sum(axis=1)[None, :],
+                0.0,
+            )
+        )
     elif similarity == "fidelity":
-        key = -fidelity_to_rows(train_features, query)
+        key = -fidelity_to_rows(features, queries).T
     else:
         raise ValueError(f"unknown similarity '{similarity}'")
-    return np.lexsort((np.arange(key.size), key))
+    return np.argsort(key, axis=1, kind="stable")
 
 
-def _vote_scores(labels: np.ndarray, n_classes: int, k: int) -> np.ndarray:
-    counts = np.bincount(labels, minlength=n_classes + 1)[1:]
-    return counts / k
+def _vote(neighbor_labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Modal label of each row of (n_queries, k) 1-based labels, ties to the
+    lowest label, and the (n_queries, n_classes) vote shares."""
+    n_queries, k = neighbor_labels.shape
+    offsets = np.arange(n_queries)[:, None] * n_classes
+    counts = np.bincount(
+        (neighbor_labels - 1 + offsets).ravel(), minlength=n_queries * n_classes
+    ).reshape(n_queries, n_classes)
+    return np.argmax(counts, axis=1) + 1, counts / k
+
+
+def majority_vote(labels) -> int:
+    """Modal 1-based label; ties resolve to the lowest label value."""
+    labels = np.asarray(labels, dtype=int)
+    if labels.size == 0:
+        raise ValueError("majority vote over no labels")
+    return int(_vote(labels[None, :], int(labels.max()))[0][0])
 
 
 @dataclass(frozen=True)
@@ -76,64 +81,26 @@ def classical_knn_predict(
     """Plain k-nearest-neighbor vote under the chosen similarity measure."""
     if not 1 <= k <= train.size:
         raise ValueError(f"k must lie in 1..{train.size}, got {k}")
-    order = _neighbor_order(train.features, query, similarity)
-    neighbors = order[:k]
-    labels = train.labels[neighbors]
-    return KnnPrediction(
-        label=majority_vote(labels.tolist()),
-        scores=_vote_scores(labels, train.n_classes, k),
-        neighbor_indices=neighbors,
-    )
+    query = np.asarray(query, float)[None, :]
+    neighbors = _neighbor_order(train.features, query, similarity)[0, :k]
+    labels, scores = _vote(train.labels[neighbors][None, :], train.n_classes)
+    return KnnPrediction(label=int(labels[0]), scores=scores[0], neighbor_indices=neighbors)
 
 
 def knn_predict_batch(
     train: TrainingSet, queries: np.ndarray, k_values, similarity: str = "euclidean"
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Vectorized baseline over many queries and several k at once.
+    """Baseline over many queries and several k at once.
 
     Returns {k: (labels, scores)} with labels shaped (n_queries,) and scores
-    (n_queries, n_classes). Exactly equivalent to per-query
-    ``classical_knn_predict``.
+    (n_queries, n_classes), row for row what ``classical_knn_predict`` gives.
     """
     queries = np.atleast_2d(np.asarray(queries, float))
     k_values = sorted(set(int(k) for k in k_values))
     if k_values[0] < 1 or k_values[-1] > train.size:
         raise ValueError(f"k values must lie in 1..{train.size}")
-
-    if similarity == "euclidean":
-        key = np.sqrt(
-            np.maximum(
-                (queries**2).sum(axis=1)[:, None]
-                - 2.0 * queries @ train.features.T
-                + (train.features**2).sum(axis=1)[None, :],
-                0.0,
-            )
-        )
-    elif similarity == "cosine":
-        qn = np.linalg.norm(queries, axis=1, keepdims=True)
-        tn = np.linalg.norm(train.features, axis=1)[None, :]
-        denom = qn * tn
-        key = -np.where(denom > 0, queries @ train.features.T / np.where(denom > 0, denom, 1.0), 0.0)
-    elif similarity == "fidelity":
-        overlap = (
-            np.sqrt(1.0 - queries**2) @ np.sqrt(1.0 - train.features**2).T
-            + queries @ train.features.T
-        ) / train.feature_dim
-        key = -(overlap**2)
-    else:
-        raise ValueError(f"unknown similarity '{similarity}'")
-
-    order = np.lexsort((np.broadcast_to(np.arange(train.size), key.shape), key), axis=1)
-    sorted_labels = train.labels[order]
-    out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for k in k_values:
-        votes = sorted_labels[:, :k]
-        counts = np.zeros((queries.shape[0], train.n_classes), dtype=int)
-        for c in range(1, train.n_classes + 1):
-            counts[:, c - 1] = (votes == c).sum(axis=1)
-        labels = np.argmax(counts, axis=1) + 1  # argmax takes the lowest label on ties
-        out[k] = (labels, counts / k)
-    return out
+    sorted_labels = train.labels[_neighbor_order(train.features, queries, similarity)]
+    return {k: _vote(sorted_labels[:, :k], train.n_classes) for k in k_values}
 
 
 @dataclass(frozen=True)
@@ -164,10 +131,10 @@ def qknn_predict(
     table = compute_similarity_table(train, query, mode=mode, delta=delta)
     neighbors, report = k_maximal_find(table, k, rng, mode=mode)
     chosen = np.asarray(neighbors.selected, dtype=int)
-    labels = train.labels[chosen]
+    labels, scores = _vote(train.labels[chosen][None, :], train.n_classes)
     return QknnPrediction(
-        label=majority_vote(labels.tolist()),
-        scores=_vote_scores(labels, train.n_classes, k),
+        label=int(labels[0]),
+        scores=scores[0],
         neighbor_indices=chosen,
         table=table,
         search_report=report,

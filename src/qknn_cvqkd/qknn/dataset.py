@@ -59,7 +59,7 @@ class TrainingSet:
             raise ValueError("features must be (M, U) with one label per row")
         if features.shape[0] < 1:
             raise ValueError("training set is empty")
-        if features.min() < -1e-12 or features.max() > 1 + 1e-12:
+        if not (features.min() >= -1e-12 and features.max() <= 1 + 1e-12):  # NaN fails too
             raise ValueError("normalized features must lie in [0, 1]")
         if labels.min() < 1 or labels.max() > n_classes:
             raise ValueError(f"labels must lie in 1..{n_classes}")
@@ -79,6 +79,8 @@ class TrainingSet:
         quadratures: np.ndarray | None = None,
     ) -> "TrainingSet":
         raw = np.asarray(raw_features, dtype=float)
+        if not np.isfinite(raw).all():
+            raise ValueError("raw features must be finite")
         scaler = FeatureScaler.fit(raw)
         return cls(
             features=scaler.transform(raw),

@@ -42,7 +42,7 @@ def _check_unit_range(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise EncodingError("empty feature vector")
-    if np.min(values) < 0.0 or np.max(values) > 1.0:
+    if not (np.min(values) >= 0.0 and np.max(values) <= 1.0):  # NaN fails too
         raise EncodingError("feature values must lie in [0, 1]")
     return values
 
@@ -179,14 +179,9 @@ def prepare_training_row_state(train: TrainingSet | np.ndarray, row: int) -> Enc
 # fidelity
 # ---------------------------------------------------------------------------
 
-def pairwise_fidelity(train: TrainingSet | np.ndarray, query: np.ndarray, row: int) -> float:
-    """|<query state | training-row state>|^2 from the closed-form overlap."""
-    features = train.features if isinstance(train, TrainingSet) else np.asarray(train, float)
-    return float(fidelity_to_rows(features[row][None, :], query)[0])
-
-
 def fidelity_to_rows(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Closed-form fidelities between one query and many feature rows.
+    """Closed-form fidelities between (M, U) feature rows and one query (U,)
+    or a batch of queries (Q, U); the result is (M,) or (M, Q).
 
     The aligned encodings overlap as the mean over features of
     sqrt(1-v^2)sqrt(1-w^2) + v*w; the fidelity is its square.
@@ -194,7 +189,7 @@ def fidelity_to_rows(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
     rows = _check_unit_range(np.atleast_2d(rows))
     query = _check_unit_range(np.asarray(query, float))
     overlap = (
-        np.sqrt(1.0 - rows**2) @ np.sqrt(1.0 - query**2) + rows @ query
+        np.sqrt(1.0 - rows**2) @ np.sqrt(1.0 - query**2).T + rows @ query.T
     ) / rows.shape[1]
     return overlap**2
 

@@ -117,11 +117,14 @@ def grover_find_greater(
     known_count: bool = False,
     max_attempts: int = 64,
     space_size: int | None = None,
+    ties_below: int | None = None,
 ) -> GroverRunReport:
     """Search for an eligible row whose similarity exceeds ``threshold``.
 
-    ``eligible`` restricts the marked set (the candidate pool); absence of
-    any match is a valid outcome reported as ``found_index=None`` with
+    ``eligible`` restricts the marked set (the candidate pool). With
+    ``ties_below`` set, rows below that index whose similarity equals
+    ``threshold`` count as exceeding it (the index tie-break of the analytic
+    k-maximal search). Absence of any match is a valid outcome reported as ``found_index=None`` with
     ``exhausted=False``; a budget spent without a hit sets ``exhausted``. The index
     space is padded to ``space_size`` (default: the table size rounded up to
     a power of two in gate mode) so the circuit stays realizable; padding
@@ -130,6 +133,8 @@ def grover_find_greater(
     values = table.ranking_value
     count = values.size
     marked_mask = values > threshold
+    if ties_below is not None:
+        marked_mask[:ties_below] |= values[:ties_below] == threshold
     if eligible is not None:
         marked_mask = marked_mask & eligible
     marked_values = np.flatnonzero(marked_mask)
@@ -153,24 +158,13 @@ def grover_find_greater(
         report.verifications = 1
         return report
 
-    if known_count:
-        l_opt = optimal_iterations(space_size, t)
-        for _ in range(max_attempts):
-            report.iterations_per_attempt.append(l_opt)
-            report.oracle_calls += l_opt
-            report.verifications += 1
-            found = attempt(space_size, marked_values, l_opt, rng)
-            if found is not None:
-                report.found_index = found
-                report.success = True
-                return report
-        report.exhausted = True
-        return report
-
-    # unknown marked count: geometrically growing iteration bound
-    bound = 1.0
+    bound = 1.0  # unknown t: geometrically growing iteration bound
     for _ in range(max_attempts):
-        iterations = int(rng.integers(0, max(1, int(math.ceil(bound)))))
+        if known_count:
+            iterations = optimal_iterations(space_size, t)
+        else:
+            iterations = int(rng.integers(0, max(1, int(math.ceil(bound)))))
+            bound = min(BOUND_GROWTH * bound, sqrt_space)
         report.iterations_per_attempt.append(iterations)
         report.oracle_calls += iterations
         report.verifications += 1
@@ -179,7 +173,6 @@ def grover_find_greater(
             report.found_index = found
             report.success = True
             return report
-        bound = min(BOUND_GROWTH * bound, sqrt_space)
     report.exhausted = True
     return report
 
@@ -205,18 +198,22 @@ def k_maximal_find(
     k: int,
     rng: np.random.Generator,
     mode: str = "analytic",
-    known_count: bool = False,
 ) -> tuple[NeighborSet, KMaximalReport]:
     """Iteratively improve a random k-subset until no excluded row beats its
     weakest member; with distinct similarities the result is the exact top k.
     This is the threshold-raising scheme of Durr and Hoyer's minimum finding
     (arXiv:quant-ph/9607014, 1996) applied to the weakest selected row.
 
-    Each round searches the complement for a row whose similarity exceeds
-    the current minimum over the selected set and swaps it in; the minimum
-    holder is chosen by (value, index) so ties resolve to the lowest index.
-    A row swapped out held the minimum and later thresholds never drop below
-    it, so it never re-enters: at most M - k swaps, hence M - k + 1 rounds.
+    Each round searches the complement for a row that beats the weakest
+    selected row and swaps it in. ``analytic`` mode ranks rows by (value,
+    then lower index), as fidelity kNN does: the weakest is the highest
+    index among the lowest values, and a row beats it with a larger value
+    or an equal value at a lower index, so the result is the exact top k
+    also under ties. ``gate`` mode compares register values alone (they tie
+    by design): the weakest is the lowest index holding the minimum, and a
+    row beats it only with a larger value. Either way a row swapped out
+    never beats a later weakest, so it never re-enters: at most M - k swaps,
+    hence M - k + 1 rounds.
     Raises ``SearchExhaustedError`` if a round runs out of attempts.
     """
     values = table.ranking_value
@@ -224,6 +221,9 @@ def k_maximal_find(
     if not 1 <= k <= count:
         raise ValueError(f"k must lie in 1..{count}, got {k}")
 
+    # the index tie-break costs mask work every round, so only pay it when
+    # some values tie
+    index_ties = mode == "analytic" and np.unique(values).size < count
     selected = np.zeros(count, dtype=bool)
     selected[rng.choice(count, size=k, replace=False)] = True
     report = KMaximalReport()
@@ -231,14 +231,19 @@ def k_maximal_find(
     if k < count:
         for _ in range(count - k + 1):
             selected_idx = np.flatnonzero(selected)
-            weakest = selected_idx[np.argmin(values[selected_idx])]
+            selected_values = values[selected_idx]
+            if index_ties:
+                lowest = np.flatnonzero(selected_values == selected_values.min())
+                weakest = selected_idx[lowest[-1]]
+            else:
+                weakest = selected_idx[np.argmin(selected_values)]
             run = grover_find_greater(
                 table,
                 float(values[weakest]),
                 rng,
                 eligible=~selected,
                 mode=mode,
-                known_count=known_count,
+                ties_below=weakest if index_ties else None,
             )
             report.rounds.append(run)
             report.oracle_calls += run.oracle_calls

@@ -2,8 +2,10 @@
 and the integer similarity register values the search stage consumes.
 
 Two execution modes share one contract. ``analytic`` uses the closed-form
-fidelity and exact swap-test probabilities and ranks on the continuous
-similarity, so ordering is exact (the register value is still reported).
+fidelity and exact swap-test probabilities and ranks on the fidelity itself,
+so rows tie exactly when their fidelities do (the continuous similarity,
+whose rounding can merge fidelities an ulp apart, and the register value are
+still reported).
 ``gate`` measures each swap-test probability on the simulated circuit,
 amplitude-estimates it and ranks on the integer register contents, as the
 search hardware would.
@@ -114,8 +116,8 @@ def amplitude_estimate(amplitude: float, iterations: int) -> AmplitudeEstimate:
 class SimilarityTable:
     """Per-training-row similarity record bridging the quantum and classical
     stages. ``ranking_value`` is what the k-maximal search compares:
-    the continuous similarity in analytic mode, the integer register value
-    in gate mode."""
+    the fidelity in analytic mode, the integer register value in gate
+    mode."""
 
     fidelity: np.ndarray
     ideal_p_zero: np.ndarray
@@ -131,7 +133,7 @@ class SimilarityTable:
 
     @property
     def ranking_value(self) -> np.ndarray:
-        return self.sim_continuous if self.mode == "analytic" else self.sim_register
+        return self.fidelity if self.mode == "analytic" else self.sim_register
 
 
 def compute_similarity_table(

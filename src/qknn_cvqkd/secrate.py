@@ -54,12 +54,13 @@ class KeyRateInputs:
     fock_cutoff: int | None = None
 
     def __post_init__(self):
-        if self.modulation_variance <= 0:
-            raise KeyRateDomainError("modulation variance must be positive")
+        # each test is a negated in-range comparison, so NaN fails it too
+        if not 0.0 < self.modulation_variance < math.inf:
+            raise KeyRateDomainError("modulation variance must be positive and finite")
         if not 0.0 < self.transmittance <= 1.0:
             raise KeyRateDomainError("transmittance must lie in (0, 1]")
-        if self.excess_noise < 0 or self.electronic_noise < 0:
-            raise KeyRateDomainError("noise parameters must be non-negative")
+        if not (0.0 <= self.excess_noise < math.inf and 0.0 <= self.electronic_noise < math.inf):
+            raise KeyRateDomainError("noise parameters must be non-negative and finite")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise KeyRateDomainError("detector efficiency must lie in (0, 1]")
         if not 0.0 < self.reconciliation_efficiency <= 1.0:

@@ -21,6 +21,23 @@ def ideal_channel(**overrides):
     return optics.ChannelModel(**base)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field",
+    ["distance_km", "loss_db_per_km", "excess_noise", "detector_efficiency",
+     "electronic_noise", "phase_offset", "phase_jitter_std"],
+)
+def test_channel_rejects_non_finite_parameters(field, bad):
+    with pytest.raises(ValueError):
+        ideal_channel(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_constellation_rejects_non_finite_variance(bad):
+    with pytest.raises(ValueError):
+        optics.Constellation(8, bad)
+
+
 # ---------------------------------------------------------------------------
 # modulation
 # ---------------------------------------------------------------------------

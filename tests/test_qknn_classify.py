@@ -28,6 +28,14 @@ def random_training_set(seed: int, size: int, dim: int, n_classes: int) -> Train
     return direct_training_set(features, labels, n_classes)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_training_set_rejects_non_finite_features(bad):
+    with pytest.raises(ValueError):
+        direct_training_set(np.array([[0.2, bad], [0.5, 0.5]]), [1, 2], n_classes=2)
+    with pytest.raises(ValueError):
+        TrainingSet.from_raw(np.array([[0.2, bad], [0.5, 0.5]]), [1, 2], n_classes=2)
+
+
 # ---------------------------------------------------------------------------
 # majority vote
 # ---------------------------------------------------------------------------
@@ -61,14 +69,6 @@ def test_single_training_point_always_wins():
     assert pred.scores[4] == 1.0
 
 
-def test_euclidean_three_four_five():
-    train = direct_training_set(np.array([[0.3, 0.4], [0.0, 0.0]]), [1, 2], n_classes=2)
-    from qknn_cvqkd.qknn.classify import euclidean_distance
-
-    d = euclidean_distance(train.features, np.zeros(2))
-    assert d[0] == pytest.approx(0.5, abs=1e-15)  # the 3-4-5 triangle, scaled
-
-
 def test_two_class_example_flips_between_k3_and_k7():
     # ring of labeled points around the query: nearest three contain two of
     # class 1, the full seven contain four of class 2
@@ -89,7 +89,40 @@ def test_k_larger_than_training_size_rejected():
         classical_knn_predict(train, np.zeros(3), k=5)
 
 
-@pytest.mark.parametrize("similarity", ["euclidean", "cosine", "fidelity"])
+@pytest.mark.parametrize("similarity", ["euclidean", "fidelity"])
+def test_query_width_must_match_features(similarity):
+    train = random_training_set(0, size=4, dim=3, n_classes=2)
+    with pytest.raises(ValueError):
+        classical_knn_predict(train, np.zeros(2), k=1, similarity=similarity)
+    with pytest.raises(ValueError):
+        knn_predict_batch(train, np.zeros((5, 4)), [1], similarity=similarity)
+
+
+@pytest.mark.parametrize("similarity", ["euclidean", "fidelity"])
+def test_non_finite_queries_rejected(similarity):
+    train = random_training_set(0, size=4, dim=3, n_classes=2)
+    query = train.normalize_queries(np.array([np.nan, 0.5, 0.5]))[0]  # clip keeps NaN
+    with pytest.raises(ValueError):
+        classical_knn_predict(train, query, k=1, similarity=similarity)
+    with pytest.raises(ValueError):
+        knn_predict_batch(train, np.array([[0.5, np.inf, 0.5]]), [1], similarity=similarity)
+
+
+def test_unknown_similarity_rejected():
+    train = random_training_set(0, size=4, dim=3, n_classes=2)
+    with pytest.raises(ValueError):
+        classical_knn_predict(train, np.zeros(3), k=1, similarity="cosine")
+
+
+def test_equal_keys_rank_lower_row_first():
+    features = np.array([[0.5, 0.5], [0.1, 0.1], [0.5, 0.5]])
+    train = direct_training_set(features, [2, 1, 1], n_classes=2)
+    for similarity in ("euclidean", "fidelity"):
+        pred = classical_knn_predict(train, np.array([0.5, 0.5]), k=1, similarity=similarity)
+        assert pred.neighbor_indices.tolist() == [0] and pred.label == 2
+
+
+@pytest.mark.parametrize("similarity", ["euclidean", "fidelity"])
 def test_batch_predictions_match_single_queries(similarity):
     train = random_training_set(1, size=40, dim=5, n_classes=4)
     queries = RNG(2).uniform(size=(25, 5))
@@ -123,6 +156,37 @@ def test_analytic_qknn_equals_fidelity_knn():
         assert quantum.label == oracle.label
         assert set(quantum.neighbor_indices.tolist()) == set(oracle.neighbor_indices.tolist())
         assert np.abs(quantum.scores - oracle.scores).max() < 1e-12
+
+
+def test_analytic_qknn_breaks_ties_like_fidelity_knn():
+    # rows 0 and 1 tie with the query; kNN takes the lower index (label 1),
+    # so the search must too whichever row its random start holds
+    train = direct_training_set(
+        np.array([[0.2, 0.3], [0.2, 0.3], [0.9, 0.9], [0.8, 0.1]]), [1, 2, 2, 2], n_classes=2
+    )
+    query = np.array([0.2, 0.3])
+    oracle = classical_knn_predict(train, query, k=1, similarity="fidelity")
+    assert oracle.label == 1
+    for seed in range(200):
+        quantum = qknn_predict(train, query, k=1, rng=RNG(seed), mode="analytic")
+        assert quantum.label == oracle.label, seed
+        assert quantum.neighbor_indices.tolist() == [0], seed
+
+
+def test_analytic_qknn_equals_fidelity_knn_on_tied_rows():
+    # features on a coarse grid: many rows repeat (exact ties), and mirrored
+    # rows such as [0, 0.5] and [0.5, 0] differ in fidelity by one ulp
+    rng = RNG(12)
+    features = rng.integers(0, 3, size=(40, 2)) / 2.0
+    train = direct_training_set(features, rng.integers(1, 4, size=40), n_classes=3)
+    for _ in range(60):
+        query = rng.integers(0, 3, size=2) / 2.0
+        k = int(rng.integers(1, 12))
+        oracle = classical_knn_predict(train, query, k=k, similarity="fidelity")
+        quantum = qknn_predict(train, query, k=k, rng=rng, mode="analytic")
+        assert quantum.neighbor_indices.tolist() == sorted(oracle.neighbor_indices.tolist())
+        assert quantum.label == oracle.label
+        assert np.array_equal(quantum.scores, oracle.scores)
 
 
 def test_k_equals_m_is_plain_majority():

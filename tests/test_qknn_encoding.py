@@ -10,7 +10,6 @@ from qknn_cvqkd.qknn import (
     fidelity_to_rows,
     gate_fidelity,
     index_register_width,
-    pairwise_fidelity,
     prepare_query_state,
     prepare_training_row_state,
     prepare_training_state,
@@ -209,18 +208,26 @@ def test_encoding_rejects_out_of_range_features():
         prepare_training_state(np.array([[-0.1, 0.5]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encoding_rejects_non_finite_features(bad):
+    with pytest.raises(EncodingError):
+        prepare_query_state(np.array([0.2, bad]))
+    with pytest.raises(EncodingError):
+        fidelity_to_rows(np.array([[0.2, 0.3]]), np.array([bad, 0.3]))
+
+
 # ---------------------------------------------------------------------------
 # fidelity
 # ---------------------------------------------------------------------------
 
 def test_fidelity_identical_vectors_is_one():
     v = RNG(7).uniform(size=4)
-    assert pairwise_fidelity(v[None, :], v, 0) == pytest.approx(1.0, abs=1e-12)
+    assert fidelity_to_rows(v[None, :], v)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fidelity_opposite_corners_is_zero():
     rows = np.ones((1, 4))
-    assert pairwise_fidelity(rows, np.zeros(4), 0) == pytest.approx(0.0, abs=1e-12)
+    assert fidelity_to_rows(rows, np.zeros(4))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fidelity_closed_form_matches_swap_test_circuit():
@@ -240,3 +247,18 @@ def test_fidelity_is_symmetric_and_bounded():
     assert np.all(fid >= 0) and np.all(fid <= 1 + 1e-12)
     flipped = np.array([float(fidelity_to_rows(q[None, :], rows[j])[0]) for j in range(20)])
     assert np.abs(fid - flipped).max() < 1e-12
+
+
+def test_fidelity_batch_columns_match_single_queries():
+    # a batch of one is bit-identical to the single query (the classical
+    # baseline ranks on the same bits as analytic QkNN); a larger batch
+    # runs a matrix product whose rounding may differ by a few ulps
+    rng = RNG(10)
+    rows = rng.uniform(size=(40, 6))
+    queries = rng.uniform(size=(7, 6))
+    batch = fidelity_to_rows(rows, queries)
+    assert batch.shape == (40, 7)
+    for j, query in enumerate(queries):
+        single = fidelity_to_rows(rows, query)
+        assert np.array_equal(fidelity_to_rows(rows, query[None, :])[:, 0], single)
+        assert np.abs(batch[:, j] - single).max() < 1e-15

@@ -169,6 +169,102 @@ def test_find_greater_respects_eligibility_mask():
         assert report.success and 20.0 < values[report.found_index] < 24.0
 
 
+# (mode, known_count, table size, threshold, max_attempts) -> per seed 0..3
+# (found_index, iterations_per_attempt, exhausted), as recorded with separate
+# known-t and unknown-t attempt loops: one loop must leave the RNG draws unchanged
+GROVER_REPORTS = {
+    ("analytic", False, 16, 7.5, 64): [
+        (10, [0, 1], False),
+        (15, [0, 1], False),
+        (8, [0], False),
+        (9, [0], False),
+    ],
+    ("analytic", False, 64, 62.5, 64): [
+        (63, [0, 1], False),
+        (63, [0, 1, 1, 0, 0, 0, 1], False),
+        (63, [0, 0, 0, 0, 1, 2], False),
+        (63, [0, 0, 0, 0, 0, 0, 0, 1, 1, 3, 4, 6], False),
+    ],
+    ("analytic", False, 16, 14.5, 3): [
+        (15, [0, 1], False),
+        (15, [0, 1], False),
+        (None, [0, 0, 0], True),
+        (None, [0, 0, 0], True),
+    ],
+    ("analytic", True, 16, 7.5, 64): [
+        (10, [0, 0], False),
+        (14, [0, 0, 0], False),
+        (8, [0], False),
+        (9, [0], False),
+    ],
+    ("analytic", True, 64, 62.5, 64): [
+        (63, [6], False),
+        (63, [6], False),
+        (63, [6], False),
+        (63, [6], False),
+    ],
+    ("analytic", True, 16, 14.5, 3): [
+        (15, [3], False),
+        (15, [3], False),
+        (15, [3], False),
+        (15, [3], False),
+    ],
+    ("gate", False, 16, 7.5, 64): [
+        (10, [0], False),
+        (8, [0], False),
+        (13, [0, 0], False),
+        (12, [0, 0], False),
+    ],
+    ("gate", False, 64, 62.5, 64): [
+        (63, [0, 1, 0, 0, 2, 2, 2], False),
+        (63, [0, 1, 1], False),
+        (63, [0, 0, 0, 0, 1, 2, 0, 1, 2, 4], False),
+        (63, [0, 0, 0, 0, 0, 0, 0, 1, 1, 3], False),
+    ],
+    ("gate", False, 16, 14.5, 3): [
+        (None, [0, 1, 0], True),
+        (15, [0, 1, 1], False),
+        (None, [0, 0, 0], True),
+        (None, [0, 0, 0], True),
+    ],
+    ("gate", True, 16, 7.5, 64): [
+        (10, [0], False),
+        (8, [0], False),
+        (13, [0, 0, 0], False),
+        (12, [0, 0, 0], False),
+    ],
+    ("gate", True, 64, 62.5, 64): [
+        (63, [6], False),
+        (63, [6], False),
+        (63, [6], False),
+        (63, [6], False),
+    ],
+    ("gate", True, 16, 14.5, 3): [
+        (15, [3], False),
+        (15, [3], False),
+        (15, [3], False),
+        (15, [3], False),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GROVER_REPORTS))
+def test_find_greater_reports_per_seed(case):
+    mode, known_count, size, threshold, max_attempts = case
+    table = make_table(np.arange(float(size)), mode=mode)
+    for seed, (found, iterations, exhausted) in enumerate(GROVER_REPORTS[case]):
+        report = grover_find_greater(
+            table, threshold, RNG(seed), mode=mode,
+            known_count=known_count, max_attempts=max_attempts,
+        )
+        assert report.found_index == found, seed
+        assert report.success == (found is not None), seed
+        assert report.iterations_per_attempt == iterations, seed
+        assert report.oracle_calls == sum(iterations), seed
+        assert report.verifications == len(iterations), seed
+        assert report.exhausted == exhausted, seed
+
+
 MAX_ATTEMPTS = inspect.signature(grover_find_greater).parameters["max_attempts"].default
 
 
@@ -238,6 +334,25 @@ def test_k_maximal_gate_mode_matches_exhaustive_sort():
     neighbors, report = k_maximal_find(table, 3, rng, mode="gate")
     assert set(neighbors.selected) == set(np.argsort(-values)[:3].tolist())
     assert report.oracle_calls > 0
+
+
+def test_analytic_k_maximal_breaks_ties_by_lower_index():
+    # four rows tie at 3.0; the top 2 by (value, lower index) are rows 1, 2
+    table = make_table(np.array([1.0, 3.0, 3.0, 3.0, 0.0, 3.0]))
+    for seed in range(50):
+        neighbors, _ = k_maximal_find(table, 2, RNG(seed))
+        assert neighbors.selected == [1, 2], seed
+
+
+def test_gate_k_maximal_keeps_any_tied_row():
+    # register values tie by design; gate mode compares values alone
+    table = make_table(np.array([1.0, 3.0, 3.0, 3.0, 0.0, 3.0]), mode="gate")
+    chosen = set()
+    for seed in range(50):
+        neighbors, _ = k_maximal_find(table, 2, RNG(seed), mode="gate")
+        assert all(table.ranking_value[j] == 3.0 for j in neighbors.selected), seed
+        chosen.update(neighbors.selected)
+    assert chosen == {1, 2, 3, 5}
 
 
 def test_k_maximal_partition_invariant():

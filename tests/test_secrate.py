@@ -162,6 +162,11 @@ def test_inputs_validation_rejects_unphysical_parameters():
         ("reconciliation_efficiency", 1.5),
         ("psk_order", 0),
         ("classifier_auc", 1.2),
+    ] + [
+        (field, bad)
+        for field in ("modulation_variance", "transmittance", "excess_noise", "electronic_noise",
+                      "detector_efficiency", "reconciliation_efficiency", "classifier_auc")
+        for bad in (math.nan, math.inf)
     ]:
         with pytest.raises(secrate.KeyRateDomainError):
             secrate.KeyRateInputs(**{**good, field: value})
