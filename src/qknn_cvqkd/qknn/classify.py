@@ -34,14 +34,11 @@ def _neighbor_order(features: np.ndarray, queries: np.ndarray, similarity: str) 
     if not np.isfinite(queries).all():
         raise ValueError("queries must be finite")
     if similarity == "euclidean":
-        key = np.sqrt(
-            np.maximum(
-                (queries**2).sum(axis=1)[:, None]
-                - 2.0 * queries @ features.T
-                + (features**2).sum(axis=1)[None, :],
-                0.0,
-            )
-        )
+        # squared distance summed one feature at a time: (Q, M) temporaries,
+        # and a query equal to a row reads exactly 0
+        key = np.zeros((queries.shape[0], features.shape[0]))
+        for q_u, f_u in zip(queries.T, features.T):
+            key += np.square(q_u[:, None] - f_u[None, :])
     elif similarity == "fidelity":
         key = -fidelity_to_rows(features, queries).T
     else:

@@ -9,17 +9,38 @@ Two execution paths: ``gate`` runs the actual phase-flip/diffusion circuit
 on an index-register state vector and measures it; ``analytic`` draws the
 measurement outcome from the same closed-form distribution without a state
 vector, which is how training sizes far beyond the qubit budget stay
-reachable. When the marked count is unknown the driver grows its iteration
-bound geometrically by 6/5 and restarts on failure (Boyer, Brassard, Hoyer
-and Tapp, Fortschr. Phys. 46, 493, 1998). Both schedules stop after
-``max_attempts`` failed attempts and flag the run as exhausted, which is not
-the same outcome as an empty marked set. This simulator uses its knowledge
-of the marked set only to skip the search when nothing is marked, never to
-bias which item is found.
+reachable. When the marked count is unknown the driver draws each attempt's
+iteration count below a bound that starts at 1, grows geometrically by 6/5
+up to sqrt(M), and restarts on failure (Boyer, Brassard, Hoyer and Tapp,
+Fortschr. Phys. 46, 493, 1998). Every search stops after ``max_attempts``
+failed attempts and flags the run as exhausted, which is not the same
+outcome as an empty marked set; an empty set is charged the ceil(3 sqrt(M))
+iterations a driver without knowledge of t would spend before concluding
+absence.
+
+The k-maximal search raises a threshold as Durr and Hoyer's minimum finding
+does (arXiv:quant-ph/9607014, 1996): each round searches the unselected rows
+for one that beats the weakest selected row and swaps it in. The analytic
+path runs on ranks. It orders the rows once per query, best first by
+(similarity, then lower index) as fidelity kNN does, and keeps the k
+selected ranks in a sorted list. The weakest selected row holds the largest
+selected rank w, and the rows that beat it are exactly the unselected ranks
+below w, so the marked count is t = w - (k - 1) with no mask, and a hit is
+the u-th of those ranks for u uniform in [0, t). The uniforms of all
+attempts come from bulk draws. The simulator uses its knowledge of the
+marked set only to count it (which sets the hit probability) and to skip a
+round in which nothing is marked, never to bias which item is found.
+
+Loop bounds: a round makes at most ``max_attempts`` attempts of fewer than
+sqrt(M) iterations each. A row swapped out never beats a later weakest row,
+so it never re-enters: at most M - k swaps, hence at most M - k + 1 rounds.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +49,8 @@ from .. import qsim
 from .similarity import SimilarityTable
 
 BOUND_GROWTH = 6.0 / 5.0  # geometric growth of the unknown-t iteration bound
+MAX_ATTEMPTS = 64  # failed attempts after which a search counts as exhausted
+UNIFORM_BLOCK = 256  # uniforms per bulk draw of the analytic k-maximal search
 
 
 class SearchExhaustedError(RuntimeError):
@@ -55,12 +78,27 @@ def grover_amplitudes(total: int, marked: int, iterations: int) -> tuple[float, 
     return q, s
 
 
+def _hit_probability(theta: float, iterations: int) -> float:
+    """sin^2((2l+1)*theta): the marked probability after l iterations."""
+    return math.sin((2 * iterations + 1) * theta) ** 2
+
+
 def success_probability(total: int, marked: int, iterations: int) -> float:
     """Probability that measuring after ``iterations`` steps hits a marked item."""
     if marked == 0:
         return 0.0
-    theta = rotation_angle(total, marked)
-    return math.sin((2 * iterations + 1) * theta) ** 2
+    return _hit_probability(rotation_angle(total, marked), iterations)
+
+
+@functools.lru_cache(maxsize=64)
+def _iteration_caps(space_size: int, max_attempts: int) -> tuple[int, ...]:
+    """Exclusive upper limit of each unknown-t attempt's iteration count."""
+    sqrt_space = math.sqrt(space_size)
+    caps, bound = [], 1.0
+    for _ in range(max_attempts):
+        caps.append(max(1, math.ceil(bound)))
+        bound = min(BOUND_GROWTH * bound, sqrt_space)
+    return tuple(caps)
 
 
 @dataclass
@@ -76,6 +114,11 @@ class GroverRunReport:
     oracle_calls: int = 0
     verifications: int = 0
     exhausted: bool = False
+
+
+def _absence_report(space_size: int) -> GroverRunReport:
+    """Nothing is marked: one verification and the unknown-t budget."""
+    return GroverRunReport(oracle_calls=math.ceil(3.0 * math.sqrt(space_size)), verifications=1)
 
 
 def _gate_attempt(
@@ -115,16 +158,13 @@ def grover_find_greater(
     eligible: np.ndarray | None = None,
     mode: str = "analytic",
     known_count: bool = False,
-    max_attempts: int = 64,
+    max_attempts: int = MAX_ATTEMPTS,
     space_size: int | None = None,
-    ties_below: int | None = None,
 ) -> GroverRunReport:
     """Search for an eligible row whose similarity exceeds ``threshold``.
 
-    ``eligible`` restricts the marked set (the candidate pool). With
-    ``ties_below`` set, rows below that index whose similarity equals
-    ``threshold`` count as exceeding it (the index tie-break of the analytic
-    k-maximal search). Absence of any match is a valid outcome reported as ``found_index=None`` with
+    ``eligible`` restricts the marked set (the candidate pool). Absence of
+    any match is a valid outcome reported as ``found_index=None`` with
     ``exhausted=False``; a budget spent without a hit sets ``exhausted``. The index
     space is padded to ``space_size`` (default: the table size rounded up to
     a power of two in gate mode) so the circuit stays realizable; padding
@@ -133,8 +173,6 @@ def grover_find_greater(
     values = table.ranking_value
     count = values.size
     marked_mask = values > threshold
-    if ties_below is not None:
-        marked_mask[:ties_below] |= values[:ties_below] == threshold
     if eligible is not None:
         marked_mask = marked_mask & eligible
     marked_values = np.flatnonzero(marked_mask)
@@ -147,24 +185,16 @@ def grover_find_greater(
     if mode not in ("gate", "analytic"):
         raise ValueError(f"unknown mode '{mode}'")
 
-    report = GroverRunReport()
     t = marked_values.size
-    sqrt_space = math.sqrt(space_size)
-
     if t == 0:
-        # nothing to find; charge the iteration budget a driver without
-        # knowledge of t would spend before concluding absence
-        report.oracle_calls = math.ceil(3.0 * sqrt_space)
-        report.verifications = 1
-        return report
+        return _absence_report(space_size)
 
-    bound = 1.0  # unknown t: geometrically growing iteration bound
-    for _ in range(max_attempts):
+    report = GroverRunReport()
+    for cap in _iteration_caps(space_size, max_attempts):
         if known_count:
             iterations = optimal_iterations(space_size, t)
         else:
-            iterations = int(rng.integers(0, max(1, int(math.ceil(bound)))))
-            bound = min(BOUND_GROWTH * bound, sqrt_space)
+            iterations = int(rng.integers(0, cap))
         report.iterations_per_attempt.append(iterations)
         report.oracle_calls += iterations
         report.verifications += 1
@@ -179,10 +209,9 @@ def grover_find_greater(
 
 @dataclass
 class NeighborSet:
-    """Selected neighbor indices (0-based rows) and their complement."""
+    """Selected neighbor indices (0-based rows, ascending)."""
 
     selected: list[int]
-    complement: list[int]
 
 
 @dataclass
@@ -193,73 +222,129 @@ class KMaximalReport:
     verifications: int = 0
 
 
+def _add_round(report: KMaximalReport, run: GroverRunReport) -> None:
+    report.rounds.append(run)
+    report.oracle_calls += run.oracle_calls
+    report.verifications += run.verifications
+    if run.exhausted:
+        raise SearchExhaustedError(
+            f"round {len(report.rounds)}: no hit in {len(run.iterations_per_attempt)} attempts"
+        )
+
+
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """Endless stream of uniforms on [0, 1), drawn in blocks."""
+    while True:
+        yield from rng.random(UNIFORM_BLOCK).tolist()
+
+
+def _rank_round(
+    total: int, marked: int, caps: tuple[int, ...], uniforms: Iterator[float]
+) -> tuple[GroverRunReport, int | None]:
+    """One unknown-t round over ``total`` items with ``marked`` of them
+    marked, on the closed-form distribution; returns its report and the
+    position in [0, marked) of the marked item found, if any."""
+    if marked == 0:
+        return _absence_report(total), None
+    theta = rotation_angle(total, marked)
+    report = GroverRunReport()
+    attempts = report.iterations_per_attempt
+    for cap in caps:
+        iterations = int(next(uniforms) * cap)
+        attempts.append(iterations)
+        report.oracle_calls += iterations
+        if next(uniforms) < _hit_probability(theta, iterations):
+            report.success = True
+            report.verifications = len(attempts)
+            return report, int(next(uniforms) * marked)
+    report.verifications = len(attempts)
+    report.exhausted = True
+    return report, None
+
+
+def _rank_search(
+    values: np.ndarray, start: np.ndarray, rng: np.random.Generator, report: KMaximalReport
+) -> list[int]:
+    """Analytic rounds on ranks (rank 0 is the best row)."""
+    count, k = values.size, start.size
+    order = np.argsort(-values, kind="stable")
+    rank_of = np.empty(count, dtype=np.intp)
+    rank_of[order] = np.arange(count)
+    ranks = sorted(rank_of[start].tolist())
+    caps = _iteration_caps(count, MAX_ATTEMPTS)
+    uniforms = _uniforms(rng)
+    for _ in range(count - k + 1):
+        run, position = _rank_round(count, ranks[-1] - (k - 1), caps, uniforms)
+        _add_round(report, run)
+        if position is None:
+            return order[ranks].tolist()
+        # the position-th unselected rank: step over the selected ranks up to it
+        found = position
+        for rank in ranks:
+            if rank > found:
+                break
+            found += 1
+        run.found_index = int(order[found])
+        ranks.pop()
+        bisect.insort(ranks, found)
+        report.replacements += 1
+    raise RuntimeError(f"no convergence after {count - k + 1} rounds")
+
+
+def _gate_search(
+    table: SimilarityTable, start: np.ndarray, rng: np.random.Generator, report: KMaximalReport
+) -> list[int]:
+    """Gate-mode rounds: register values compared alone, circuits run."""
+    values = table.ranking_value
+    count, k = values.size, start.size
+    selected = np.zeros(count, dtype=bool)
+    selected[start] = True
+    for _ in range(count - k + 1):
+        selected_idx = np.flatnonzero(selected)
+        weakest = selected_idx[np.argmin(values[selected_idx])]
+        run = grover_find_greater(table, float(values[weakest]), rng, eligible=~selected, mode="gate")
+        _add_round(report, run)
+        if not run.success:
+            return selected_idx.tolist()
+        selected[weakest] = False
+        selected[run.found_index] = True
+        report.replacements += 1
+    raise RuntimeError(f"no convergence after {count - k + 1} rounds")
+
+
 def k_maximal_find(
     table: SimilarityTable,
     k: int,
     rng: np.random.Generator,
     mode: str = "analytic",
 ) -> tuple[NeighborSet, KMaximalReport]:
-    """Iteratively improve a random k-subset until no excluded row beats its
-    weakest member; with distinct similarities the result is the exact top k.
-    This is the threshold-raising scheme of Durr and Hoyer's minimum finding
-    (arXiv:quant-ph/9607014, 1996) applied to the weakest selected row.
+    """Improve a random k-subset of rows, one swap per round, until no
+    unselected row beats its weakest member.
 
-    Each round searches the complement for a row that beats the weakest
-    selected row and swaps it in. ``analytic`` mode ranks rows by (value,
-    then lower index), as fidelity kNN does: the weakest is the highest
-    index among the lowest values, and a row beats it with a larger value
-    or an equal value at a lower index, so the result is the exact top k
-    also under ties. ``gate`` mode compares register values alone (they tie
-    by design): the weakest is the lowest index holding the minimum, and a
-    row beats it only with a larger value. Either way a row swapped out
-    never beats a later weakest, so it never re-enters: at most M - k swaps,
-    hence M - k + 1 rounds.
-    Raises ``SearchExhaustedError`` if a round runs out of attempts.
+    ``analytic`` mode ranks rows by (value, then lower index), as fidelity
+    kNN does, so the result is the exact top k also under ties: the rows of
+    ``np.argsort(-values, kind="stable")[:k]``. It sorts once per query and
+    runs every round on ranks with an O(1) marked count (see the module
+    docstring). ``gate`` mode compares register values alone (they tie by
+    design): the weakest is the lowest index holding the minimum, a row
+    beats it only with a larger value, and each round runs the circuit.
+    Either way a search makes at most M - k + 1 rounds of at most
+    ``MAX_ATTEMPTS`` attempts each. Raises ``SearchExhaustedError`` if a
+    round runs out of attempts.
     """
     values = table.ranking_value
     count = values.size
     if not 1 <= k <= count:
         raise ValueError(f"k must lie in 1..{count}, got {k}")
-
-    # the index tie-break costs mask work every round, so only pay it when
-    # some values tie
-    index_ties = mode == "analytic" and np.unique(values).size < count
-    selected = np.zeros(count, dtype=bool)
-    selected[rng.choice(count, size=k, replace=False)] = True
+    if mode not in ("gate", "analytic"):
+        raise ValueError(f"unknown mode '{mode}'")
     report = KMaximalReport()
+    if k == count:
+        return NeighborSet(selected=list(range(count))), report
 
-    if k < count:
-        for _ in range(count - k + 1):
-            selected_idx = np.flatnonzero(selected)
-            selected_values = values[selected_idx]
-            if index_ties:
-                lowest = np.flatnonzero(selected_values == selected_values.min())
-                weakest = selected_idx[lowest[-1]]
-            else:
-                weakest = selected_idx[np.argmin(selected_values)]
-            run = grover_find_greater(
-                table,
-                float(values[weakest]),
-                rng,
-                eligible=~selected,
-                mode=mode,
-                ties_below=weakest if index_ties else None,
-            )
-            report.rounds.append(run)
-            report.oracle_calls += run.oracle_calls
-            report.verifications += run.verifications
-            if run.exhausted:
-                raise SearchExhaustedError(
-                    f"round {len(report.rounds)}: no hit in {len(run.iterations_per_attempt)} attempts"
-                )
-            if not run.success:
-                break
-            selected[weakest] = False
-            selected[run.found_index] = True
-            report.replacements += 1
-        else:
-            raise RuntimeError(f"no convergence after {count - k + 1} rounds")
-
-    chosen = np.flatnonzero(selected)
-    rest = np.flatnonzero(~selected)
-    return NeighborSet(selected=chosen.tolist(), complement=rest.tolist()), report
+    start = rng.choice(count, size=k, replace=False)
+    if mode == "analytic":
+        selected = _rank_search(values, start, rng, report)
+    else:
+        selected = _gate_search(table, start, rng, report)
+    return NeighborSet(selected=sorted(selected)), report

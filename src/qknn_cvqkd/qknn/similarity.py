@@ -153,7 +153,7 @@ def compute_similarity_table(
     ideal_p_zero = swap_test_probability(fidelity)
 
     if mode == "analytic":
-        estimated = ideal_p_zero.copy()
+        estimated = ideal_p_zero  # shared: the table is frozen and nothing writes to it
     else:
         query_state = prepare_query_state(query).state
         measured = [

@@ -122,6 +122,18 @@ def test_equal_keys_rank_lower_row_first():
         assert pred.neighbor_indices.tolist() == [0] and pred.label == 2
 
 
+def test_euclidean_query_equal_to_a_row_ranks_it_first():
+    # row b sits 1e-9 from row a and comes first in the table; a query equal
+    # to a is at distance exactly 0 from a, so a must rank first
+    rows = RNG(21).uniform(0.1, 0.9, size=(30, 8))
+    for j, a in enumerate(rows):
+        b = a.copy()
+        b[j % 8] += 1e-9
+        train = direct_training_set(np.vstack([b, a, rows]), [1, 2] + [1] * len(rows), n_classes=2)
+        pred = classical_knn_predict(train, a, k=1)
+        assert pred.neighbor_indices.tolist() == [1] and pred.label == 2, j
+
+
 @pytest.mark.parametrize("similarity", ["euclidean", "fidelity"])
 def test_batch_predictions_match_single_queries(similarity):
     train = random_training_set(1, size=40, dim=5, n_classes=4)

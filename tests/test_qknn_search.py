@@ -298,11 +298,28 @@ def test_find_greater_absence_is_not_exhaustion():
     assert not report.success and not report.exhausted
 
 
-def test_k_maximal_raises_on_an_exhausted_round(failing_attempts):
+@pytest.fixture
+def missing_hits(monkeypatch):
+    """Give every attempt of the analytic k-maximal search a zero hit
+    probability; a round that ignores its budget fails the test instead of
+    hanging."""
+    calls = []
+
+    def never_hit(theta, iterations):
+        calls.append(iterations)
+        if len(calls) > MAX_ATTEMPTS:
+            pytest.fail(f"attempt {len(calls)} exceeds the budget of {MAX_ATTEMPTS}")
+        return 0.0
+
+    monkeypatch.setattr(search, "_hit_probability", never_hit)
+    return calls
+
+
+def test_k_maximal_raises_on_an_exhausted_round(missing_hits):
     table = make_table(RNG(7).permutation(16).astype(float))
     with pytest.raises(SearchExhaustedError):
         k_maximal_find(table, 3, RNG(8))
-    assert len(failing_attempts) == MAX_ATTEMPTS
+    assert len(missing_hits) == MAX_ATTEMPTS
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +329,7 @@ def test_k_maximal_raises_on_an_exhausted_round(failing_attempts):
 def test_k_equals_m_returns_everything_without_search():
     table = make_table(RNG(3).uniform(size=8))
     neighbors, report = k_maximal_find(table, 8, RNG(4))
-    assert sorted(neighbors.selected) == list(range(8))
-    assert neighbors.complement == []
+    assert neighbors.selected == list(range(8))
     assert report.oracle_calls == 0 and report.rounds == []
 
 
@@ -359,10 +375,54 @@ def test_k_maximal_partition_invariant():
     table = make_table(RNG(5).uniform(size=20))
     neighbors, _ = k_maximal_find(table, 7, RNG(6))
     assert len(neighbors.selected) == 7
-    assert sorted(neighbors.selected + neighbors.complement) == list(range(20))
+    assert neighbors.selected == sorted(set(neighbors.selected))
+    assert all(0 <= j < 20 for j in neighbors.selected)
 
 
 def test_k_maximal_rejects_bad_k():
     table = make_table(np.arange(4.0))
     with pytest.raises(ValueError):
         k_maximal_find(table, 5, RNG(0))
+
+
+def test_analytic_k_maximal_equals_stable_argsort_for_every_k():
+    # random, heavily tied (values from a small integer set) and all-equal
+    # tables; every k of every table
+    rng = RNG(2024)
+    tables = 0
+    for trial in range(510):
+        size = int(rng.integers(41, 301)) if trial % 25 == 0 else int(rng.integers(2, 41))
+        kind = trial % 3
+        if trial == 0:
+            values = np.full(size, 0.5)
+        elif kind == 0:
+            values = rng.uniform(size=size)
+        else:
+            values = rng.integers(0, 2 + kind, size=size).astype(float)
+        table = make_table(values)
+        expected = np.argsort(-values, kind="stable")
+        for k in range(1, size + 1):
+            neighbors, report = k_maximal_find(table, k, rng)
+            assert neighbors.selected == sorted(expected[:k].tolist()), (trial, k)
+            assert len(report.rounds) <= size - k + 1
+        tables += 1
+    assert tables >= 500
+
+
+def test_analytic_round_counters_match_gate_mode_statistically():
+    # both modes run the same unknown-t schedule on the same law; on distinct
+    # values their mean costs agree
+    values = RNG(31).permutation(64).astype(float)
+    samples = {}
+    for mode in ("analytic", "gate"):
+        table = make_table(values, mode=mode)
+        calls, checks = [], []
+        for seed in range(200):
+            neighbors, report = k_maximal_find(table, 3, RNG(seed), mode=mode)
+            assert neighbors.selected == sorted(np.argsort(-values)[:3].tolist())
+            calls.append(report.oracle_calls)
+            checks.append(report.verifications)
+        samples[mode] = (np.array(calls, float), np.array(checks, float))
+    for a, g in zip(samples["analytic"], samples["gate"]):
+        stderr = math.sqrt(a.var(ddof=1) / a.size + g.var(ddof=1) / g.size)
+        assert abs(a.mean() - g.mean()) < 4.0 * stderr
