@@ -120,8 +120,9 @@ def qknn_predict(
     """Quantum-pipeline prediction for one query.
 
     ``analytic`` mode keeps similarities exact and is unbounded in training
-    size; ``gate`` mode runs the swap-test, amplitude-estimation and Grover
-    circuits and is meant for desk-scale validation runs.
+    size; ``gate`` mode amplitude-estimates the closed-form swap-test
+    probabilities, ranks on the integer similarity register and runs the
+    Grover search circuit, and is meant for desk-scale validation runs.
     """
     if not 1 <= k <= train.size:
         raise ValueError(f"k must lie in 1..{train.size}, got {k}")

@@ -193,19 +193,3 @@ def fidelity_to_rows(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
     ) / rows.shape[1]
     return overlap**2
 
-
-def swap_test_p_zero(state_a: StateVector, state_b: StateVector) -> float:
-    """Probability of reading 0 on the control qubit of the simulated swap
-    test between two equal-width states, (1 + |<a|b>|^2) / 2."""
-    width = state_a.n_qubits
-    system = qsim.tensor_product(state_a, state_b, qsim.new_register(1))
-    out = qsim.cswap_test(system, 2 * width, (0, width), (width, width))
-    return float(qsim.born_probabilities(out, (2 * width, 1))[0])
-
-
-def gate_fidelity(vector_a: np.ndarray, vector_b: np.ndarray) -> float:
-    """Fidelity measured by the swap-test circuit on the encoded states."""
-    state_a = prepare_query_state(np.asarray(vector_a, float))
-    state_b = prepare_query_state(np.asarray(vector_b, float))
-    p_zero = swap_test_p_zero(state_a.state, state_b.state)
-    return max(0.0, 2.0 * p_zero - 1.0)

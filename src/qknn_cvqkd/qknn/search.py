@@ -262,12 +262,22 @@ def _rank_round(
     return report, None
 
 
+def _best_first(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(-values, kind="stable")``: the faster default sort gives
+    the same order unless two values tie, so only ties pay for the stable one."""
+    order = np.argsort(-values)
+    ranked = values[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(-values, kind="stable")
+    return order
+
+
 def _rank_search(
     values: np.ndarray, start: np.ndarray, rng: np.random.Generator, report: KMaximalReport
 ) -> list[int]:
     """Analytic rounds on ranks (rank 0 is the best row)."""
     count, k = values.size, start.size
-    order = np.argsort(-values, kind="stable")
+    order = _best_first(values)
     rank_of = np.empty(count, dtype=np.intp)
     rank_of[order] = np.arange(count)
     ranks = sorted(rank_of[start].tolist())

@@ -1,14 +1,16 @@
 """Similarity tables: swap-test probabilities, their amplitude estimates,
 and the integer similarity register values the search stage consumes.
 
-Two execution modes share one contract. ``analytic`` uses the closed-form
-fidelity and exact swap-test probabilities and ranks on the fidelity itself,
-so rows tie exactly when their fidelities do (the continuous similarity,
-whose rounding can merge fidelities an ulp apart, and the register value are
-still reported).
-``gate`` measures each swap-test probability on the simulated circuit,
-amplitude-estimates it and ranks on the integer register contents, as the
-search hardware would.
+Both execution modes read the swap-test probability in closed form,
+P(0) = (1 + |<a|b>|^2) / 2 (Buhrman, Cleve, Watrous and de Wolf, PRL 87,
+167902 (2001)), from the closed-form fidelity of the amplitude encodings;
+the tests keep the simulated swap-test circuit as the reference. The modes
+differ after that. ``analytic`` takes P(0) exactly and ranks on the fidelity
+itself, so rows tie exactly when their fidelities do (the continuous
+similarity, whose rounding can merge fidelities an ulp apart, and the
+register value are still reported). ``gate`` amplitude-estimates P(0) to
+error delta and ranks on the integer register contents, as the search
+hardware would.
 
 Amplitude estimation phase-estimates the amplification operator, a rotation
 by 2*theta (a = sin^2 theta), on a counting register of grid G = 2^m. Its
@@ -34,12 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import TrainingSet
-from .encoding import (
-    fidelity_to_rows,
-    prepare_query_state,
-    prepare_training_row_state,
-    swap_test_p_zero,
-)
+from .encoding import EncodingError, fidelity_to_rows
 
 
 def swap_test_probability(fidelity) -> np.ndarray | float:
@@ -81,7 +78,7 @@ def _estimate_amplitudes(amplitudes, iterations: int):
     """Modal estimates of every amplitude: (estimates, folded modes, grid,
     (rows, grid) outcome distribution)."""
     amplitudes = np.asarray(amplitudes, dtype=float)
-    # a simulated swap test can read P(0) a few ulps above 1: clip rounding, reject the rest
+    # P(0) of a query equal to a row can read a few ulps above 1: clip rounding, reject the rest
     in_range = (amplitudes >= -1e-12) & (amplitudes <= 1.0 + 1e-12)
     if not np.all(in_range):
         raise ValueError(f"amplitudes must lie in [0, 1], got {amplitudes[~in_range]}")
@@ -142,11 +139,19 @@ def compute_similarity_table(
     mode: str = "analytic",
     delta: float = 0.1,
 ) -> SimilarityTable:
-    """Build the similarity record of one query against every training row."""
+    """Build the similarity record of one query against every training row.
+
+    Every row's P(0) comes from the closed-form fidelity. ``analytic`` mode
+    keeps it exact; ``gate`` mode amplitude-estimates it on the grid of
+    ``required_iterations(delta)`` iterations (the folded modal outcome) and
+    ranks on the resulting integer ``sim_register``.
+    """
     if mode not in ("analytic", "gate"):
         raise ValueError(f"unknown mode '{mode}'")
     features = train.features if isinstance(train, TrainingSet) else np.asarray(train, float)
     query = np.asarray(query, dtype=float)
+    if query.ndim != 1:
+        raise EncodingError("query must be a single feature vector")
     count = features.shape[0]
 
     fidelity = fidelity_to_rows(features, query)
@@ -155,12 +160,7 @@ def compute_similarity_table(
     if mode == "analytic":
         estimated = ideal_p_zero  # shared: the table is frozen and nothing writes to it
     else:
-        query_state = prepare_query_state(query).state
-        measured = [
-            swap_test_p_zero(query_state, prepare_training_row_state(features, j).state)
-            for j in range(count)
-        ]
-        estimated = _estimate_amplitudes(measured, required_iterations(delta))[0]
+        estimated = _estimate_amplitudes(ideal_p_zero, required_iterations(delta))[0]
 
     sim_continuous = (count / math.pi) * np.arcsin(np.sqrt(np.clip(estimated, 0.0, 1.0)))
     sim_register = np.minimum(np.floor(sim_continuous).astype(int), count - 1)

@@ -1,5 +1,5 @@
 """State-preparation checks: uniform superposition, amplitude encoding,
-closed-form vs circuit fidelities."""
+closed-form fidelities."""
 import math
 
 import numpy as np
@@ -8,7 +8,6 @@ import pytest
 from qknn_cvqkd import qsim
 from qknn_cvqkd.qknn import (
     fidelity_to_rows,
-    gate_fidelity,
     index_register_width,
     prepare_query_state,
     prepare_training_row_state,
@@ -228,15 +227,6 @@ def test_fidelity_identical_vectors_is_one():
 def test_fidelity_opposite_corners_is_zero():
     rows = np.ones((1, 4))
     assert fidelity_to_rows(rows, np.zeros(4))[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fidelity_closed_form_matches_swap_test_circuit():
-    rng = RNG(8)
-    for _ in range(10):
-        a = rng.uniform(size=3)
-        b = rng.uniform(size=3)
-        closed = float(fidelity_to_rows(a[None, :], b)[0])
-        assert abs(closed - gate_fidelity(b, a)) < 1e-10
 
 
 def test_fidelity_is_symmetric_and_bounded():

@@ -409,6 +409,18 @@ def test_analytic_k_maximal_equals_stable_argsort_for_every_k():
     assert tables >= 500
 
 
+@pytest.mark.parametrize("case", ["no ties", "tied pair deep in the order", "signed zeros"])
+def test_best_first_order_equals_stable_argsort(case):
+    # both tie cases are ones numpy 2.4's default float sort reorders on x86-64
+    values = RNG(77).uniform(size=2048)
+    if case == "tied pair deep in the order":
+        values[37] = np.sort(values)[200]  # both hold best-first rank ~1847
+    elif case == "signed zeros":
+        values[34], values[101] = -0.0, 0.0
+    order = search._best_first(values)
+    assert np.array_equal(order, np.argsort(-values, kind="stable"))
+
+
 def test_analytic_round_counters_match_gate_mode_statistically():
     # both modes run the same unknown-t schedule on the same law; on distinct
     # values their mean costs agree

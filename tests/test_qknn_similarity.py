@@ -1,4 +1,5 @@
-"""Similarity tables and gate-level amplitude estimation."""
+"""Similarity tables, gate-level amplitude estimation and the simulated
+swap test they are checked against."""
 import math
 
 import numpy as np
@@ -8,16 +9,35 @@ from hypothesis import given, settings, strategies as st
 from qknn_cvqkd import qsim
 from qknn_cvqkd.qknn import (
     AmplitudeEstimate,
+    EncodingError,
     amplitude_estimate,
     compute_similarity_table,
     estimation_error_bound,
+    fidelity_to_rows,
     prepare_query_state,
     prepare_training_row_state,
     required_iterations,
 )
-from qknn_cvqkd.qknn.encoding import swap_test_p_zero
+from qknn_cvqkd.qsim import StateVector
 
 RNG = np.random.default_rng
+
+
+def swap_test_p_zero(state_a: StateVector, state_b: StateVector) -> float:
+    """Probability of reading 0 on the control qubit of the simulated swap
+    test between two equal-width states, (1 + |<a|b>|^2) / 2."""
+    width = state_a.n_qubits
+    system = qsim.tensor_product(state_a, state_b, qsim.new_register(1))
+    out = qsim.cswap_test(system, 2 * width, (0, width), (width, width))
+    return float(qsim.born_probabilities(out, (2 * width, 1))[0])
+
+
+def gate_fidelity(vector_a: np.ndarray, vector_b: np.ndarray) -> float:
+    """Fidelity measured by the swap-test circuit on the encoded states."""
+    state_a = prepare_query_state(np.asarray(vector_a, float))
+    state_b = prepare_query_state(np.asarray(vector_b, float))
+    p_zero = swap_test_p_zero(state_a.state, state_b.state)
+    return max(0.0, 2.0 * p_zero - 1.0)
 
 
 def circuit_amplitude_estimate(
@@ -152,6 +172,13 @@ def test_gate_table_within_one_grid_step_of_analytic():
     assert np.abs(gate.sim_register - np.floor(analytic.sim_continuous)).max() <= 1
 
 
+@pytest.mark.parametrize("mode", ["analytic", "gate"])
+def test_table_rejects_a_batch_of_queries(mode):
+    rows = RNG(6).uniform(size=(8, 3))
+    with pytest.raises(EncodingError, match="single feature vector"):
+        compute_similarity_table(rows, rows[:2], mode=mode)
+
+
 def test_analytic_similarity_monotone_in_fidelity():
     rng = RNG(5)
     rows = rng.uniform(size=(30, 4))
@@ -164,23 +191,44 @@ def test_analytic_similarity_monotone_in_fidelity():
     assert np.all(int_diffs >= 0)
 
 
+def test_fidelity_closed_form_matches_swap_test_circuit():
+    rng = RNG(8)
+    for _ in range(10):
+        a = rng.uniform(size=3)
+        b = rng.uniform(size=3)
+        closed = float(fidelity_to_rows(a[None, :], b)[0])
+        assert abs(closed - gate_fidelity(b, a)) < 1e-10
+
+
 def test_gate_table_equals_per_row_amplitude_estimates():
-    rows = RNG(12).uniform(size=(16, 4))
-    query = RNG(13).uniform(size=4)
-    table = compute_similarity_table(rows, query, mode="gate", delta=0.1)
-    query_state = prepare_query_state(query).state
-    per_row = [
-        amplitude_estimate(
-            swap_test_p_zero(query_state, prepare_training_row_state(rows, j).state),
-            required_iterations(0.1),
-        ).estimate
-        for j in range(rows.shape[0])
-    ]
-    assert np.array_equal(table.estimated_p_zero, per_row)
+    # 16 rows x 12 queries at each of six feature dimensions: 1152 (row,
+    # query) pairs, with rows and queries of features exactly 0 and 1 and a
+    # query equal to a row
+    rng = RNG(12)
+    iterations = required_iterations(0.1)
+    for u in (1, 2, 3, 4, 6, 8):
+        rows = rng.uniform(size=(16, u))
+        rows[0], rows[1] = 0.0, 1.0
+        rows[2, ::2], rows[2, 1::2] = 1.0, 0.0
+        queries = rng.uniform(size=(12, u))
+        queries[0], queries[1], queries[2] = rows[5], 0.0, 1.0
+        for query in queries:
+            table = compute_similarity_table(rows, query, mode="gate", delta=0.1)
+            query_state = prepare_query_state(query).state
+            simulated = np.array([
+                swap_test_p_zero(query_state, prepare_training_row_state(rows, j).state)
+                for j in range(rows.shape[0])
+            ])
+            assert np.abs(table.ideal_p_zero - simulated).max() <= 4e-15
+            per_row = [amplitude_estimate(p, iterations) for p in simulated]
+            assert np.array_equal(table.estimated_p_zero, [e.estimate for e in per_row])
+            # the register holds floor(M * sigma / G) of the folded mode sigma
+            registers = [min(16 * e.register_value // e.grid_size, 15) for e in per_row]
+            assert np.array_equal(table.sim_register, registers)
 
 
 def test_gate_table_query_equal_to_a_row():
-    # the simulated swap test of a row with itself reads P(0) a few ulps above 1
+    # the closed-form P(0) of a row with itself reads 1 up to a few ulps either way
     rows = np.array([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5]])
     table = compute_similarity_table(rows, rows[0], mode="gate")
     assert table.estimated_p_zero[0] == pytest.approx(1.0, abs=1e-12)
