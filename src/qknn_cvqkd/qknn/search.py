@@ -6,7 +6,9 @@ unmarked ones cos((2l+1)*theta)/sqrt(M-t), theta = asin(sqrt(t/M)); the
 known-t iteration count is floor(pi/(4*theta)).
 
 Two execution paths: ``gate`` runs the actual phase-flip/diffusion circuit
-on an index-register state vector and measures it; ``analytic`` draws the
+on an index-register state vector and measures it (the Hadamard-layer start
+state draws no random numbers and is the same on every attempt, so it is
+built once per register width and shared read-only); ``analytic`` draws the
 measurement outcome from the same closed-form distribution without a state
 vector, which is how training sizes far beyond the qubit budget stay
 reachable. When the marked count is unknown the driver draws each attempt's
@@ -121,6 +123,17 @@ def _absence_report(space_size: int) -> GroverRunReport:
     return GroverRunReport(oracle_calls=math.ceil(3.0 * math.sqrt(space_size)), verifications=1)
 
 
+@functools.lru_cache(maxsize=16)
+def _start_state(width: int) -> qsim.StateVector:
+    """H on every qubit of a fresh ``width``-qubit register, built once per
+    width; its amplitudes are read-only, and every gate after it copies."""
+    state = qsim.new_register(width)
+    for q in range(width):
+        state = qsim.apply_hadamard(state, q)
+    state.amplitudes.flags.writeable = False
+    return state
+
+
 def _gate_attempt(
     total: int, marked_values: np.ndarray, iterations: int, rng: np.random.Generator
 ) -> int | None:
@@ -129,9 +142,7 @@ def _gate_attempt(
     width = max(1, math.ceil(math.log2(total)))
     if (1 << width) != total:
         raise ValueError("gate-mode search needs a power-of-two index space")
-    state = qsim.new_register(width)
-    for q in range(width):
-        state = qsim.apply_hadamard(state, q)
+    state = _start_state(width)
     span = (0, width)
     for _ in range(iterations):
         state = qsim.apply_phase_flip(state, span, marked_values)

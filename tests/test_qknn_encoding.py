@@ -240,15 +240,16 @@ def test_fidelity_is_symmetric_and_bounded():
 
 
 def test_fidelity_batch_columns_match_single_queries():
-    # a batch of one is bit-identical to the single query (the classical
-    # baseline ranks on the same bits as analytic QkNN); a larger batch
-    # runs a matrix product whose rounding may differ by a few ulps
+    # a batch runs the single-query kernel per column, so the classical
+    # baseline ranks on the same bits as analytic QkNN; a batch of one too
     rng = RNG(10)
-    rows = rng.uniform(size=(40, 6))
-    queries = rng.uniform(size=(7, 6))
-    batch = fidelity_to_rows(rows, queries)
-    assert batch.shape == (40, 7)
-    for j, query in enumerate(queries):
-        single = fidelity_to_rows(rows, query)
-        assert np.array_equal(fidelity_to_rows(rows, query[None, :])[:, 0], single)
-        assert np.abs(batch[:, j] - single).max() < 1e-15
+    for features in (1, 2, 4, 8):
+        rows = rng.uniform(size=(512, features))
+        queries = rng.uniform(size=(1000, features))
+        batch = fidelity_to_rows(rows, queries)
+        assert batch.shape == (512, 1000)
+        for j, query in enumerate(queries):
+            single = fidelity_to_rows(rows, query)
+            assert np.array_equal(batch[:, j], single), (features, j)
+            if j < 10:
+                assert np.array_equal(fidelity_to_rows(rows, query[None, :])[:, 0], single)

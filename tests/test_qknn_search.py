@@ -371,6 +371,50 @@ def test_gate_k_maximal_keeps_any_tied_row():
     assert chosen == {1, 2, 3, 5}
 
 
+def _hadamard_layer(width: int) -> qsim.StateVector:
+    """The start state built gate by gate, as every attempt once did."""
+    return _gate_grover_state(1 << width, [], 0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 5])
+def test_start_state_equals_the_gate_by_gate_hadamard_layer(width):
+    state = search._start_state(width)
+    assert state is search._start_state(width)
+    assert np.array_equal(state.amplitudes, _hadamard_layer(width).amplitudes)
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 0.0
+
+
+def test_start_state_unchanged_by_a_gate_search():
+    before = search._start_state(4).amplitudes.copy()
+    table = make_table(RNG(41).permutation(16).astype(float), mode="gate")
+    k_maximal_find(table, 3, RNG(42), mode="gate")
+    assert np.array_equal(search._start_state(4).amplitudes, before)
+
+
+def test_gate_search_with_the_shared_start_state_repeats_every_run(monkeypatch):
+    # 40 gate runs over 8..32 rows with tied values: the same selections,
+    # reports and final generator states as with the layer built per attempt
+    rng = RNG(2468)
+    cases = []
+    for seed in range(40):
+        size = int(rng.integers(8, 33))
+        values = rng.integers(0, 6, size=size).astype(float)
+        cases.append((make_table(values, mode="gate"), int(rng.integers(1, 6)), seed))
+
+    def run_all():
+        runs = []
+        for table, k, seed in cases:
+            gen = RNG(seed)
+            neighbors, report = k_maximal_find(table, k, gen, mode="gate")
+            runs.append((neighbors.selected, report, gen.bit_generator.state))
+        return runs
+
+    shared = run_all()
+    monkeypatch.setattr(search, "_start_state", _hadamard_layer)
+    assert run_all() == shared
+
+
 def test_k_maximal_partition_invariant():
     table = make_table(RNG(5).uniform(size=20))
     neighbors, _ = k_maximal_find(table, 7, RNG(6))

@@ -18,6 +18,7 @@ from qknn_cvqkd.qknn import (
     prepare_training_row_state,
     required_iterations,
 )
+from qknn_cvqkd.qknn import similarity
 from qknn_cvqkd.qsim import StateVector
 
 RNG = np.random.default_rng
@@ -138,6 +139,76 @@ def test_estimate_register_value_consistent():
         math.sin(math.pi * est.register_value / est.grid_size) ** 2, abs=1e-12
     )
     assert est.distribution.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the mode searched over a window around both peaks
+# ---------------------------------------------------------------------------
+
+def full_grid_modes(amplitudes, grid: int, chunk: int = 256) -> np.ndarray:
+    """Folded argmax of the mixture evaluated at all G outcomes, the lowest
+    outcome on ties, a chunk of rows at a time."""
+    phase = similarity._estimate_amplitudes(amplitudes, grid)[3]
+    outcomes = np.arange(grid)
+    modes = np.concatenate([
+        np.argmax(similarity._mixture(outcomes, part[:, None], grid), axis=1)
+        for part in np.array_split(phase, max(1, phase.size // chunk))
+    ])
+    return np.minimum(modes, grid - modes)
+
+
+def grid_amplitudes(grid: int) -> np.ndarray:
+    """sin^2(pi sigma/G) at every outcome sigma = 0..G and every midpoint,
+    with the 1-ulp neighbours of each that lie in [0, 1]."""
+    base = np.sin(np.pi * np.arange(2 * grid + 1) / (2 * grid)) ** 2
+    amplitudes = np.concatenate([base, np.nextafter(base, 2.0), np.nextafter(base, -1.0)])
+    return amplitudes[(amplitudes >= 0.0) & (amplitudes <= 1.0)]
+
+
+@pytest.mark.parametrize("iterations", [2, 4, 8, 32, 131])
+def test_window_mode_equals_full_grid_mode_on_a_coarse_amplitude_grid(iterations):
+    # 101 evenly spaced amplitudes and their 1-ulp neighbours
+    base = np.linspace(0.0, 1.0, 101)
+    amplitudes = np.concatenate([base, np.nextafter(base, 2.0), np.nextafter(base, -1.0)])
+    amplitudes = amplitudes[(amplitudes >= 0.0) & (amplitudes <= 1.0)]
+    estimates, folded, grid, _ = similarity._estimate_amplitudes(amplitudes, iterations)
+    assert np.array_equal(folded, full_grid_modes(amplitudes, grid))
+    singles = [amplitude_estimate(a, iterations) for a in amplitudes]
+    assert np.array_equal(estimates, [e.estimate for e in singles])
+    assert np.array_equal(folded, [e.register_value for e in singles])
+
+
+@pytest.mark.parametrize("grid", [1 << m for m in range(1, 11)])
+def test_window_mode_equals_full_grid_mode_at_grid_points_and_midpoints(grid):
+    amplitudes = grid_amplitudes(grid)
+    _, folded, found_grid, _ = similarity._estimate_amplitudes(amplitudes, grid)
+    assert found_grid == grid
+    assert np.array_equal(folded, full_grid_modes(amplitudes, grid))
+
+
+@pytest.mark.parametrize("grid", [2048, 4096])
+def test_window_mode_equals_full_grid_mode_on_large_grids(grid):
+    # the full grid would take seconds here: it is evaluated within 8
+    # outcomes of both peaks, and every outcome beyond lies under the Fejer
+    # envelope 1/(G sin(8 pi/G))^2, far below the mode, so it cannot win
+    amplitudes = grid_amplitudes(grid)
+    _, folded, _, phase = similarity._estimate_amplitudes(amplitudes, grid)
+    near = np.floor(grid * phase).astype(np.int64)[:, None] + np.arange(-8, 10)
+    near = np.sort(np.concatenate([near, -near], axis=1) % grid, axis=1)
+    values = similarity._mixture(near, phase[:, None], grid)
+    assert values.max(axis=1).min() > 10.0 / (grid * math.sin(8.0 * math.pi / grid)) ** 2
+    modes = np.take_along_axis(near, np.argmax(values, axis=1)[:, None], axis=1)[:, 0]
+    assert np.array_equal(folded, np.minimum(modes, grid - modes))
+
+
+def test_gate_table_of_2048_rows_at_delta_001_equals_full_grid_reference():
+    rng = RNG(21)
+    rows = rng.uniform(size=(2048, 4))
+    table = compute_similarity_table(rows, rng.uniform(size=4), mode="gate", delta=0.01)
+    grid = 2048  # the grid of required_iterations(0.01) = 1302
+    modes = full_grid_modes(table.ideal_p_zero, grid)
+    expected = np.sin(np.pi * np.arange(grid // 2 + 1) / grid)[modes] ** 2
+    assert np.array_equal(table.estimated_p_zero, expected)
 
 
 # ---------------------------------------------------------------------------
