@@ -6,9 +6,14 @@ unmarked ones cos((2l+1)*theta)/sqrt(M-t), theta = asin(sqrt(t/M)); the
 known-t iteration count is floor(pi/(4*theta)).
 
 Two execution paths: ``gate`` runs the actual phase-flip/diffusion circuit
-on an index-register state vector and measures it (the Hadamard-layer start
-state draws no random numbers and is the same on every attempt, so it is
-built once per register width and shared read-only); ``analytic`` draws the
+on an index-register state vector and draws the measured index from the
+state's outcome CDF; only the index is read, so no collapsed state is built.
+The Hadamard-layer start state draws no random numbers and is the same on
+every attempt, so it and its outcome CDF are built once per register width
+and shared read-only. Under the small early bounds most attempts run zero
+iterations, and such an attempt only draws from that cached CDF. Each draw
+consumes one uniform, as ``qsim.measure`` does, so every random stream is
+the one a collapsing measurement would give. ``analytic`` draws the
 measurement outcome from the same closed-form distribution without a state
 vector, which is how training sizes far beyond the qubit budget stay
 reachable. When the marked count is unknown the driver draws each attempt's
@@ -134,21 +139,30 @@ def _start_state(width: int) -> qsim.StateVector:
     return state
 
 
+@functools.lru_cache(maxsize=16)
+def _start_cdf(width: int) -> np.ndarray:
+    """Outcome CDF of ``_start_state(width)``, which is all a zero-iteration
+    attempt measures; built once per width and read-only."""
+    cdf = qsim.outcome_cdf(_start_state(width), (0, width))
+    cdf.flags.writeable = False
+    return cdf
+
+
 def _gate_attempt(
     total: int, marked_values: np.ndarray, iterations: int, rng: np.random.Generator
-) -> int | None:
-    """Run the circuit for one attempt; return the measured index if it
-    verifies as marked, else None."""
+) -> int:
+    """Run the circuit for one attempt and return the measured index."""
     width = max(1, math.ceil(math.log2(total)))
     if (1 << width) != total:
         raise ValueError("gate-mode search needs a power-of-two index space")
+    if iterations == 0:
+        return qsim.draw_outcome(_start_cdf(width), rng)
     state = _start_state(width)
     span = (0, width)
     for _ in range(iterations):
         state = qsim.apply_phase_flip(state, span, marked_values)
         state = qsim.apply_reflection_about_uniform(state, span, total)
-    measured = qsim.measure(state, span, rng).bits
-    return int(measured) if measured in set(marked_values.tolist()) else None
+    return qsim.draw_outcome(qsim.outcome_cdf(state, span), rng)
 
 
 def _analytic_attempt(
@@ -192,13 +206,13 @@ def grover_find_greater(
         space_size = 1 << max(1, math.ceil(math.log2(count))) if mode == "gate" else count
     if space_size < count:
         raise ValueError("index space smaller than the table")
-    attempt = _gate_attempt if mode == "gate" else _analytic_attempt
     if mode not in ("gate", "analytic"):
         raise ValueError(f"unknown mode '{mode}'")
 
     t = marked_values.size
     if t == 0:
         return _absence_report(space_size)
+    marked = frozenset(marked_values.tolist()) if mode == "gate" else None
 
     report = GroverRunReport()
     for cap in _iteration_caps(space_size, max_attempts):
@@ -209,7 +223,11 @@ def grover_find_greater(
         report.iterations_per_attempt.append(iterations)
         report.oracle_calls += iterations
         report.verifications += 1
-        found = attempt(space_size, marked_values, iterations, rng)
+        if mode == "gate":
+            measured = _gate_attempt(space_size, marked_values, iterations, rng)
+            found = measured if measured in marked else None
+        else:
+            found = _analytic_attempt(space_size, marked_values, iterations, rng)
         if found is not None:
             report.found_index = found
             report.success = True

@@ -414,15 +414,47 @@ def born_probabilities(state: StateVector, span) -> np.ndarray:
     return probs
 
 
-def measure(state: StateVector, span, rng: np.random.Generator) -> MeasurementOutcome:
-    """Sample a span measurement and collapse the state."""
+def _outcome_distribution(state: StateVector, span) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities of a span measurement, renormalized by the
+    state's squared norm, and their CDF, built as ``Generator.choice`` builds
+    it from the same probabilities (cumulative sum over its last entry, so
+    that entry is exactly 1)."""
     span = state.check_span(span)
     probs = np.abs(state.amplitudes) ** 2
     total = probs.sum()
-    if total < 1e-12:
-        raise StateCorruptionError("measuring an all-zero state")
+    if not (math.isfinite(total) and total >= 1e-12):
+        raise StateCorruptionError(f"measuring a state of squared norm {total}")
     outcome_probs = _span_view(probs, state.n_qubits, span).sum(axis=(0, 2)) / total
-    bits = int(rng.choice(outcome_probs.size, p=outcome_probs))
+    cdf = outcome_probs.cumsum()
+    cdf /= cdf[-1]
+    return outcome_probs, cdf
+
+
+def outcome_cdf(state: StateVector, span) -> np.ndarray:
+    """CDF of a span measurement's outcomes, indexed by value, for
+    ``draw_outcome``. Raises ``StateCorruptionError`` on a zero or
+    non-finite state."""
+    return _outcome_distribution(state, span)[1]
+
+
+def draw_outcome(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Born draw from an outcome CDF: the first value whose CDF exceeds one
+    uniform from ``rng``. This is the arithmetic of
+    ``rng.choice(n, p=probs)`` on numpy 2.x, so the drawn value and the
+    generator state after the draw equal those of that call."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def measure(state: StateVector, span, rng: np.random.Generator) -> MeasurementOutcome:
+    """Sample a span measurement and collapse the state.
+
+    The value comes from ``draw_outcome`` on the outcome CDF, which consumes
+    one uniform, as ``rng.choice(n, p=probs)`` would; the kept branch is
+    renormalized by its Born probability. Raises ``StateCorruptionError`` on
+    a zero or non-finite state."""
+    span = state.check_span(span)
+    outcome_probs, cdf = _outcome_distribution(state, span)
+    bits = draw_outcome(cdf, rng)
     amps = state.amplitudes.copy()
     view = _span_view(amps, state.n_qubits, span)
     keep = view[:, bits, :].copy()

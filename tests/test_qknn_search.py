@@ -392,9 +392,32 @@ def test_start_state_unchanged_by_a_gate_search():
     assert np.array_equal(search._start_state(4).amplitudes, before)
 
 
+@pytest.mark.parametrize("width", [1, 2, 4, 5])
+def test_start_cdf_equals_that_of_the_gate_by_gate_hadamard_layer(width):
+    cdf = search._start_cdf(width)
+    assert cdf is search._start_cdf(width)
+    assert np.array_equal(cdf, qsim.outcome_cdf(_hadamard_layer(width), (0, width)))
+    with pytest.raises(ValueError):
+        cdf[0] = 0.0
+
+
+def test_start_cdf_unchanged_by_a_gate_search():
+    before = search._start_cdf(4).copy()
+    table = make_table(RNG(43).permutation(16).astype(float), mode="gate")
+    k_maximal_find(table, 3, RNG(44), mode="gate")
+    assert np.array_equal(search._start_cdf(4), before)
+
+
+def _choice_measured_attempt(total, marked_values, iterations, rng):
+    """Reference gate attempt: the start state built gate by gate and the
+    index register measured by ``rng.choice`` on the Born probabilities."""
+    probs = np.abs(_gate_grover_state(total, marked_values, iterations).amplitudes) ** 2
+    return int(rng.choice(total, p=probs / probs.sum()))
+
+
 def test_gate_search_with_the_shared_start_state_repeats_every_run(monkeypatch):
     # 40 gate runs over 8..32 rows with tied values: the same selections,
-    # reports and final generator states as with the layer built per attempt
+    # reports and final generator states as with the reference attempt
     rng = RNG(2468)
     cases = []
     for seed in range(40):
@@ -411,7 +434,7 @@ def test_gate_search_with_the_shared_start_state_repeats_every_run(monkeypatch):
         return runs
 
     shared = run_all()
-    monkeypatch.setattr(search, "_start_state", _hadamard_layer)
+    monkeypatch.setattr(search, "_gate_attempt", _choice_measured_attempt)
     assert run_all() == shared
 
 

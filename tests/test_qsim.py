@@ -314,6 +314,65 @@ def test_measure_rejects_zero_state():
         qsim.measure(broken, (0, 1), RNG(0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_measurement_rejects_non_finite_state(bad):
+    # a NaN or infinite total would reach the CDF search as NaN and return
+    # an index silently
+    amps = random_state(3, seed=31).amplitudes.copy()
+    amps[5] = bad
+    broken = qsim.StateVector(3, amps)
+    with pytest.raises(qsim.StateCorruptionError):
+        qsim.measure(broken, (1, 2), RNG(0))
+    with pytest.raises(qsim.StateCorruptionError):
+        qsim.outcome_cdf(broken, (1, 2))
+
+
+def _choice_probabilities(state: qsim.StateVector, span) -> np.ndarray:
+    """Span outcome probabilities formed as the measurement that sampled
+    through ``rng.choice`` formed them."""
+    span = qsim.as_span(span)
+    probs = np.abs(state.amplitudes) ** 2
+    total = probs.sum()
+    high = 1 << (state.n_qubits - span.offset - span.width)
+    view = probs.reshape(high, 1 << span.width, 1 << span.offset)
+    return view.sum(axis=(0, 2)) / total
+
+
+def test_cdf_draw_repeats_rng_choice_on_random_distributions():
+    # 10,000 distributions over 2..64 outcomes, with zero and very skewed
+    # probabilities: the same value and generator state as rng.choice(n, p=p)
+    draws = RNG(2024)
+    for case in range(10_000):
+        n_qubits = int(draws.integers(1, 7))
+        width = int(draws.integers(1, n_qubits + 1))
+        span = (int(draws.integers(0, n_qubits - width + 1)), width)
+        dim = 1 << n_qubits
+        magnitudes = draws.uniform(size=dim)
+        if case % 3 == 1:
+            magnitudes[draws.uniform(size=dim) < 0.5] = 0.0
+            magnitudes[draws.integers(0, dim)] = 1.0
+        elif case % 3 == 2:
+            magnitudes = 10.0 ** draws.uniform(-9.0, 0.0, size=dim)
+        amps = magnitudes * np.exp(2j * np.pi * draws.uniform(size=dim))
+        state = qsim.StateVector(n_qubits, amps / np.linalg.norm(amps))
+        p = _choice_probabilities(state, span)
+        reference, drawn, measured = RNG(case), RNG(case), RNG(case)
+        expected = int(reference.choice(p.size, p=p))
+        assert qsim.draw_outcome(qsim.outcome_cdf(state, span), drawn) == expected, case
+        assert qsim.measure(state, span, measured).bits == expected, case
+        assert drawn.bit_generator.state == reference.bit_generator.state, case
+        assert measured.bit_generator.state == reference.bit_generator.state, case
+
+
+def test_cdf_draw_on_a_cdf_entry_takes_the_next_value_as_rng_choice():
+    # p = [u, 1 - u] for the generator's own next uniform u is exact, so the
+    # uniform lands on the first CDF entry
+    for seed in range(100):
+        u = RNG(seed).random()
+        assert RNG(seed).choice(2, p=[u, 1.0 - u]) == 1
+        assert qsim.draw_outcome(np.array([u, 1.0]), RNG(seed)) == 1
+
+
 def test_born_probabilities_basis_state():
     probs = qsim.born_probabilities(qsim.new_register(1), (0, 1))
     assert np.allclose(probs, [1.0, 0.0])
