@@ -3,9 +3,13 @@ pipeline (similarity table -> k-maximal search -> majority vote).
 
 One rank rule: training rows are ordered best first by one key per
 similarity (Euclidean distance ascending, fidelity descending), and equal
-keys go to the lower row index. One vote rule: the label most of the k
-neighbors hold wins, equal counts go to the lowest label, and the scores are
-each class's share of the k votes. A single query is a batch of one.
+keys go to the lower row index. A vote reads only the best max(k) rows of
+a query, so only those are sorted: the rows whose key is at or below the
+max(k)-th smallest, stably. That is the head of the full stable sort, rows
+and order, ties and signed zeros included. One vote rule: the label most of
+the k neighbors hold wins, equal counts go to the lowest label, and the
+scores are each class's share of the k votes. A single query is a batch of
+one.
 
 Analytic QkNN ranks rows in its k-maximal search by the same (fidelity,
 lower index) rule, so with exact similarities it selects the same neighbor
@@ -24,9 +28,26 @@ from .search import KMaximalReport, k_maximal_find
 from .similarity import SimilarityTable, compute_similarity_table
 
 
-def _neighbor_order(features: np.ndarray, queries: np.ndarray, similarity: str) -> np.ndarray:
-    """(n_queries, M) row indices, best first; equal keys keep the lower row
-    index first (stable sort)."""
+def _smallest_first(key: np.ndarray, count: int) -> np.ndarray:
+    """``np.argsort(key, axis=1, kind="stable")[:, :count]`` without sorting
+    every row: the ``count``-th smallest key of a row is its threshold,
+    every column whose key is at or below it is a candidate (at least
+    ``count`` of them, in index order), and only the candidates are sorted,
+    stably, so ties and signed zeros come out as the full sort has them."""
+    threshold = np.partition(key, count - 1, axis=1)[:, count - 1, None]
+    row, column = np.nonzero(key <= threshold)
+    # by row, then key; lexsort is stable, so equal keys keep index order
+    ranked = column[np.lexsort((key[row, column], row))]
+    starts = np.searchsorted(row, np.arange(key.shape[0]))
+    return ranked[starts[:, None] + np.arange(count)]
+
+
+def _neighbor_order(
+    train: TrainingSet, queries: np.ndarray, similarity: str, count: int
+) -> np.ndarray:
+    """(n_queries, count) row indices of each query's ``count`` best rows,
+    best first; equal keys keep the lower row index first."""
+    features = train.features
     if queries.ndim != 2 or queries.shape[1] != features.shape[1]:
         raise ValueError(
             f"queries must be (n_queries, {features.shape[1]}), got shape {queries.shape}"
@@ -40,10 +61,10 @@ def _neighbor_order(features: np.ndarray, queries: np.ndarray, similarity: str) 
         for q_u, f_u in zip(queries.T, features.T):
             key += np.square(q_u[:, None] - f_u[None, :])
     elif similarity == "fidelity":
-        key = -fidelity_to_rows(features, queries).T
+        key = -fidelity_to_rows(train, queries).T
     else:
         raise ValueError(f"unknown similarity '{similarity}'")
-    return np.argsort(key, axis=1, kind="stable")
+    return _smallest_first(key, count)
 
 
 def _vote(neighbor_labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -79,7 +100,7 @@ def classical_knn_predict(
     if not 1 <= k <= train.size:
         raise ValueError(f"k must lie in 1..{train.size}, got {k}")
     query = np.asarray(query, float)[None, :]
-    neighbors = _neighbor_order(train.features, query, similarity)[0, :k]
+    neighbors = _neighbor_order(train, query, similarity, k)[0]
     labels, scores = _vote(train.labels[neighbors][None, :], train.n_classes)
     return KnnPrediction(label=int(labels[0]), scores=scores[0], neighbor_indices=neighbors)
 
@@ -96,7 +117,7 @@ def knn_predict_batch(
     k_values = sorted(set(int(k) for k in k_values))
     if k_values[0] < 1 or k_values[-1] > train.size:
         raise ValueError(f"k values must lie in 1..{train.size}")
-    sorted_labels = train.labels[_neighbor_order(train.features, queries, similarity)]
+    sorted_labels = train.labels[_neighbor_order(train, queries, similarity, k_values[-1])]
     return {k: _vote(sorted_labels[:, :k], train.n_classes) for k in k_values}
 
 

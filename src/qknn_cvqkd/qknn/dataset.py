@@ -40,7 +40,11 @@ class TrainingSet:
     """Normalized training data for the classifiers.
 
     ``features`` is an (M, U) array with every entry in [0, 1]; ``labels``
-    holds 1-based class labels. Raw (pre-normalization) features and raw
+    holds 1-based class labels; ``complement`` holds sqrt(1 - features^2),
+    the other amplitude of each encoded feature, computed once here because
+    every fidelity against the set reads it. The three arrays are read-only,
+    so a write that would leave ``complement`` out of step with ``features``
+    raises ``ValueError``. Raw (pre-normalization) features and raw
     quadratures are kept alongside for export.
     """
 
@@ -54,7 +58,7 @@ class TrainingSet:
         quadratures: np.ndarray | None = None,
     ):
         features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=int)
+        labels = np.array(labels, dtype=int)  # a copy: it is made read-only below
         if features.ndim != 2 or features.shape[0] != labels.shape[0]:
             raise ValueError("features must be (M, U) with one label per row")
         if features.shape[0] < 1:
@@ -64,7 +68,10 @@ class TrainingSet:
         if labels.min() < 1 or labels.max() > n_classes:
             raise ValueError(f"labels must lie in 1..{n_classes}")
         self.features = np.clip(features, 0.0, 1.0)
+        self.complement = np.sqrt(1.0 - self.features**2)
         self.labels = labels
+        for array in (self.features, self.complement, self.labels):
+            array.flags.writeable = False
         self.n_classes = int(n_classes)
         self.scaler = scaler
         self.raw_features = raw_features

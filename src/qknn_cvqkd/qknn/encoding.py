@@ -179,27 +179,36 @@ def prepare_training_row_state(train: TrainingSet | np.ndarray, row: int) -> Enc
 # fidelity
 # ---------------------------------------------------------------------------
 
-def fidelity_to_rows(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+def fidelity_to_rows(rows: TrainingSet | np.ndarray, query: np.ndarray) -> np.ndarray:
     """Closed-form fidelities between (M, U) feature rows and one query (U,)
     or a batch of queries (Q, U); the result is (M,) or (M, Q).
 
     The aligned encodings overlap as the mean over features of
-    sqrt(1-v^2)sqrt(1-w^2) + v*w; the fidelity is its square. A batch runs
-    the single-query kernel one query at a time on sqrt(1-v^2) computed
-    once (a matrix product would round differently), so each column holds
-    the bits of that query alone.
+    sqrt(1-v^2)sqrt(1-w^2) + v*w; the fidelity is its square. A
+    ``TrainingSet`` supplies its validated features and the sqrt(1-v^2) it
+    holds; bare rows are validated and sqrt(1-v^2) is computed here, with
+    the same bits. A batch runs the single-query kernel one query at a time
+    (a matrix product would round differently), so each column holds the
+    bits of that query alone.
     """
-    rows = _check_unit_range(np.atleast_2d(rows))
+    if isinstance(rows, TrainingSet):
+        rows, complement = rows.features, rows.complement
+    else:
+        rows = _check_unit_range(np.atleast_2d(rows))
+        complement = None
     query = _check_unit_range(np.asarray(query, float))
-    # the 1-D path frees sqrt(1-v^2) before its next product: holding it on
-    # every query fragments the heap under many live similarity tables
     if query.ndim == 1:
-        overlap = (np.sqrt(1.0 - rows**2) @ np.sqrt(1.0 - query**2) + rows @ query) / rows.shape[1]
+        # bare rows free sqrt(1-v^2) before the next product: holding it on
+        # every query fragments the heap under many live similarity tables
+        root = np.sqrt(1.0 - query**2)
+        overlap = (
+            (np.sqrt(1.0 - rows**2) if complement is None else complement) @ root + rows @ query
+        ) / rows.shape[1]
         return overlap**2
-    complement = np.sqrt(1.0 - rows**2)
+    if complement is None:
+        complement = np.sqrt(1.0 - rows**2)
     batch = np.empty((rows.shape[0], query.shape[0]))
     for j, w in enumerate(query):
         overlap = (complement @ np.sqrt(1.0 - w**2) + rows @ w) / rows.shape[1]
         batch[:, j] = overlap**2
     return batch
-

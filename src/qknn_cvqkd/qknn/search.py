@@ -33,10 +33,11 @@ path runs on ranks. It orders the rows once per query, best first by
 selected ranks in a sorted list. The weakest selected row holds the largest
 selected rank w, and the rows that beat it are exactly the unselected ranks
 below w, so the marked count is t = w - (k - 1) with no mask, and a hit is
-the u-th of those ranks for u uniform in [0, t). The uniforms of all
-attempts come from bulk draws. The simulator uses its knowledge of the
-marked set only to count it (which sets the hit probability) and to skip a
-round in which nothing is marked, never to bias which item is found.
+the u-th of those ranks for u uniform in [0, t). All rounds run in one
+loop, which reads the uniforms of every attempt by index from bulk draws.
+The simulator uses its knowledge of the marked set only to count it (which
+sets the hit probability) and to skip a round in which nothing is marked,
+never to bias which item is found.
 
 Loop bounds: a round makes at most ``max_attempts`` attempts of fewer than
 sqrt(M) iterations each. A row swapped out never beats a later weakest row,
@@ -47,7 +48,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,19 +149,17 @@ def _start_cdf(width: int) -> np.ndarray:
 
 
 def _gate_attempt(
-    total: int, marked_values: np.ndarray, iterations: int, rng: np.random.Generator
+    width: int, marked_values: np.ndarray, iterations: int, rng: np.random.Generator
 ) -> int:
-    """Run the circuit for one attempt and return the measured index."""
-    width = max(1, math.ceil(math.log2(total)))
-    if (1 << width) != total:
-        raise ValueError("gate-mode search needs a power-of-two index space")
+    """Run the circuit for one attempt on a ``width``-qubit index register
+    and return the measured index."""
     if iterations == 0:
         return qsim.draw_outcome(_start_cdf(width), rng)
     state = _start_state(width)
     span = (0, width)
     for _ in range(iterations):
         state = qsim.apply_phase_flip(state, span, marked_values)
-        state = qsim.apply_reflection_about_uniform(state, span, total)
+        state = qsim.apply_reflection_about_uniform(state, span, 1 << width)
     return qsim.draw_outcome(qsim.outcome_cdf(state, span), rng)
 
 
@@ -212,7 +210,11 @@ def grover_find_greater(
     t = marked_values.size
     if t == 0:
         return _absence_report(space_size)
-    marked = frozenset(marked_values.tolist()) if mode == "gate" else None
+    if mode == "gate":
+        width = max(1, math.ceil(math.log2(space_size)))
+        if (1 << width) != space_size:
+            raise ValueError("gate-mode search needs a power-of-two index space")
+        marked = frozenset(marked_values.tolist())
 
     report = GroverRunReport()
     for cap in _iteration_caps(space_size, max_attempts):
@@ -224,7 +226,7 @@ def grover_find_greater(
         report.oracle_calls += iterations
         report.verifications += 1
         if mode == "gate":
-            measured = _gate_attempt(space_size, marked_values, iterations, rng)
+            measured = _gate_attempt(width, marked_values, iterations, rng)
             found = measured if measured in marked else None
         else:
             found = _analytic_attempt(space_size, marked_values, iterations, rng)
@@ -261,36 +263,6 @@ def _add_round(report: KMaximalReport, run: GroverRunReport) -> None:
         )
 
 
-def _uniforms(rng: np.random.Generator) -> Iterator[float]:
-    """Endless stream of uniforms on [0, 1), drawn in blocks."""
-    while True:
-        yield from rng.random(UNIFORM_BLOCK).tolist()
-
-
-def _rank_round(
-    total: int, marked: int, caps: tuple[int, ...], uniforms: Iterator[float]
-) -> tuple[GroverRunReport, int | None]:
-    """One unknown-t round over ``total`` items with ``marked`` of them
-    marked, on the closed-form distribution; returns its report and the
-    position in [0, marked) of the marked item found, if any."""
-    if marked == 0:
-        return _absence_report(total), None
-    theta = rotation_angle(total, marked)
-    report = GroverRunReport()
-    attempts = report.iterations_per_attempt
-    for cap in caps:
-        iterations = int(next(uniforms) * cap)
-        attempts.append(iterations)
-        report.oracle_calls += iterations
-        if next(uniforms) < _hit_probability(theta, iterations):
-            report.success = True
-            report.verifications = len(attempts)
-            return report, int(next(uniforms) * marked)
-    report.verifications = len(attempts)
-    report.exhausted = True
-    return report, None
-
-
 def _best_first(values: np.ndarray) -> np.ndarray:
     """``np.argsort(-values, kind="stable")``: the faster default sort gives
     the same order unless two values tie, so only ties pay for the stable one."""
@@ -304,21 +276,60 @@ def _best_first(values: np.ndarray) -> np.ndarray:
 def _rank_search(
     values: np.ndarray, start: np.ndarray, rng: np.random.Generator, report: KMaximalReport
 ) -> list[int]:
-    """Analytic rounds on ranks (rank 0 is the best row)."""
+    """Analytic rounds on ranks (rank 0 is the best row), in one loop.
+
+    Each round is an unknown-t search over ``count`` items with ``marked``
+    of them marked, on the closed-form distribution. An attempt reads one
+    uniform for its iteration count, one against the hit probability and,
+    on a hit, one for the position in [0, marked) of the marked item found.
+    Uniforms come in blocks of ``UNIFORM_BLOCK``, read in order; a block is
+    drawn only when the next uniform is needed, so a search that marks
+    nothing draws none.
+    """
     count, k = values.size, start.size
     order = _best_first(values)
     rank_of = np.empty(count, dtype=np.intp)
     rank_of[order] = np.arange(count)
     ranks = sorted(rank_of[start].tolist())
     caps = _iteration_caps(count, MAX_ATTEMPTS)
-    uniforms = _uniforms(rng)
+    block, used = [], UNIFORM_BLOCK
     for _ in range(count - k + 1):
-        run, position = _rank_round(count, ranks[-1] - (k - 1), caps, uniforms)
-        _add_round(report, run)
-        if position is None:
+        marked = ranks[-1] - (k - 1)
+        if marked == 0:
+            run = _absence_report(count)
+        else:
+            theta = math.asin(math.sqrt(marked / count))
+            run = GroverRunReport()
+            attempts = run.iterations_per_attempt
+            for cap in caps:
+                if used == UNIFORM_BLOCK:
+                    block, used = rng.random(UNIFORM_BLOCK).tolist(), 0
+                iterations = int(block[used] * cap)
+                used += 1
+                attempts.append(iterations)
+                run.oracle_calls += iterations
+                if used == UNIFORM_BLOCK:
+                    block, used = rng.random(UNIFORM_BLOCK).tolist(), 0
+                used += 1
+                if block[used - 1] < _hit_probability(theta, iterations):
+                    run.success = True
+                    break
+            run.verifications = len(attempts)
+            run.exhausted = not run.success
+        report.rounds.append(run)
+        report.oracle_calls += run.oracle_calls
+        report.verifications += run.verifications
+        if run.exhausted:
+            raise SearchExhaustedError(
+                f"round {len(report.rounds)}: no hit in {len(attempts)} attempts"
+            )
+        if not run.success:
             return order[ranks].tolist()
+        if used == UNIFORM_BLOCK:
+            block, used = rng.random(UNIFORM_BLOCK).tolist(), 0
         # the position-th unselected rank: step over the selected ranks up to it
-        found = position
+        found = int(block[used] * marked)
+        used += 1
         for rank in ranks:
             if rank > found:
                 break

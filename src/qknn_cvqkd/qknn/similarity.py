@@ -8,7 +8,8 @@ the tests keep the simulated swap-test circuit as the reference. The modes
 differ after that. ``analytic`` takes P(0) exactly and ranks on the fidelity
 itself, so rows tie exactly when their fidelities do (the continuous
 similarity, whose rounding can merge fidelities an ulp apart, and the
-register value are still reported). ``gate`` amplitude-estimates P(0) to
+register value are still reported, derived when first read; see
+``SimilarityTable``). ``gate`` amplitude-estimates P(0) to
 error delta and ranks on the integer register contents, as the search
 hardware would.
 
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -149,19 +151,47 @@ class SimilarityTable:
     """Per-training-row similarity record bridging the quantum and classical
     stages. ``ranking_value`` is what the k-maximal search compares:
     the fidelity in analytic mode, the integer register value in gate
-    mode."""
+    mode.
+
+    A table holds the fidelities and, in gate mode, the amplitude-estimated
+    P(0) (``gate_estimates``). The other columns are derived from them on
+    first access and then kept: ``ideal_p_zero`` = (1 + fidelity) / 2;
+    ``estimated_p_zero``, which is ``ideal_p_zero`` itself in analytic mode;
+    ``sim_continuous`` = (M/pi) arcsin(sqrt(estimated P(0))), and
+    ``sim_register``, its floor capped at M - 1. Analytic ranking reads the
+    fidelity alone, so an analytic query computes none of them unless a
+    caller asks; a gate table derives them when the search first ranks on
+    ``sim_register``.
+    """
 
     fidelity: np.ndarray
-    ideal_p_zero: np.ndarray
-    estimated_p_zero: np.ndarray
-    sim_continuous: np.ndarray
-    sim_register: np.ndarray
-    register_width: int
     mode: str
+    gate_estimates: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
         return self.fidelity.size
+
+    @property
+    def register_width(self) -> int:
+        return max(1, math.ceil(math.log2(max(self.size, 2))))
+
+    @cached_property
+    def ideal_p_zero(self) -> np.ndarray:
+        return swap_test_probability(self.fidelity)
+
+    @property
+    def estimated_p_zero(self) -> np.ndarray:
+        return self.ideal_p_zero if self.gate_estimates is None else self.gate_estimates
+
+    @cached_property
+    def sim_continuous(self) -> np.ndarray:
+        estimated = np.clip(self.estimated_p_zero, 0.0, 1.0)
+        return (self.size / math.pi) * np.arcsin(np.sqrt(estimated))
+
+    @cached_property
+    def sim_register(self) -> np.ndarray:
+        return np.minimum(np.floor(self.sim_continuous).astype(int), self.size - 1)
 
     @property
     def ranking_value(self) -> np.ndarray:
@@ -183,28 +213,11 @@ def compute_similarity_table(
     """
     if mode not in ("analytic", "gate"):
         raise ValueError(f"unknown mode '{mode}'")
-    features = train.features if isinstance(train, TrainingSet) else np.asarray(train, float)
     query = np.asarray(query, dtype=float)
     if query.ndim != 1:
         raise EncodingError("query must be a single feature vector")
-    count = features.shape[0]
-
-    fidelity = fidelity_to_rows(features, query)
-    ideal_p_zero = swap_test_probability(fidelity)
-
+    fidelity = fidelity_to_rows(train, query)
     if mode == "analytic":
-        estimated = ideal_p_zero  # shared: the table is frozen and nothing writes to it
-    else:
-        estimated = _estimate_amplitudes(ideal_p_zero, required_iterations(delta))[0]
-
-    sim_continuous = (count / math.pi) * np.arcsin(np.sqrt(np.clip(estimated, 0.0, 1.0)))
-    sim_register = np.minimum(np.floor(sim_continuous).astype(int), count - 1)
-    return SimilarityTable(
-        fidelity=fidelity,
-        ideal_p_zero=ideal_p_zero,
-        estimated_p_zero=estimated,
-        sim_continuous=sim_continuous,
-        sim_register=sim_register,
-        register_width=max(1, math.ceil(math.log2(max(count, 2)))),
-        mode=mode,
-    )
+        return SimilarityTable(fidelity=fidelity, mode=mode)
+    estimates = _estimate_amplitudes(swap_test_probability(fidelity), required_iterations(delta))[0]
+    return SimilarityTable(fidelity=fidelity, mode=mode, gate_estimates=estimates)

@@ -10,6 +10,8 @@ from qknn_cvqkd.qknn import (
     majority_vote,
     qknn_predict,
 )
+from qknn_cvqkd.qknn import classify
+from qknn_cvqkd.qknn.encoding import fidelity_to_rows
 
 RNG = np.random.default_rng
 
@@ -34,6 +36,19 @@ def test_training_set_rejects_non_finite_features(bad):
         direct_training_set(np.array([[0.2, bad], [0.5, 0.5]]), [1, 2], n_classes=2)
     with pytest.raises(ValueError):
         TrainingSet.from_raw(np.array([[0.2, bad], [0.5, 0.5]]), [1, 2], n_classes=2)
+
+
+def test_training_set_arrays_are_read_only():
+    # complement is derived from features once; a write to either would
+    # leave the two out of step
+    labels = np.array([1, 2, 2])
+    train = direct_training_set(RNG(0).uniform(size=(3, 2)), labels, n_classes=2)
+    assert np.array_equal(train.complement, np.sqrt(1.0 - train.features**2))
+    for array in (train.features, train.labels, train.complement):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    labels[0] = 2  # the caller's array stays writable and is not shared
+    assert train.labels.tolist() == [1, 2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +147,62 @@ def test_euclidean_query_equal_to_a_row_ranks_it_first():
         train = direct_training_set(np.vstack([b, a, rows]), [1, 2] + [1] * len(rows), n_classes=2)
         pred = classical_knn_predict(train, a, k=1)
         assert pred.neighbor_indices.tolist() == [1] and pred.label == 2, j
+
+
+@pytest.mark.parametrize("kind", ["random", "halves", "all equal", "signed zeros"])
+def test_smallest_first_equals_the_head_of_the_stable_argsort(kind):
+    rng = RNG(55)
+    for trial in range(200):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 300)))
+        if kind == "random":
+            key = rng.uniform(size=shape)
+        elif kind == "halves":
+            key = rng.choice([0.0, 0.5, 1.0], size=shape)
+        elif kind == "all equal":
+            key = np.full(shape, 0.5)
+        else:
+            key = rng.choice([-0.0, 0.0, 0.5, -0.5], size=shape)
+        full = np.argsort(key, axis=1, kind="stable")
+        for count in {1, int(rng.integers(1, shape[1] + 1)), shape[1]}:
+            head = classify._smallest_first(key, count)
+            assert np.array_equal(head, full[:, :count]), (kind, trial, count)
+
+
+def _stable_order(train, queries, similarity):
+    """The full (n_queries, M) stable argsort of the baseline's keys."""
+    if similarity == "euclidean":
+        key = ((queries[:, None, :] - train.features[None, :, :]) ** 2).sum(axis=2)
+    else:
+        key = -fidelity_to_rows(train.features, queries).T
+    return np.argsort(key, axis=1, kind="stable")
+
+
+@pytest.mark.parametrize("similarity", ["euclidean", "fidelity"])
+@pytest.mark.parametrize("kind", ["random", "halves", "all equal"])
+def test_neighbor_order_equals_the_stable_argsort(similarity, kind):
+    # the baseline's top-k order, batched and single, against sorting every
+    # row; features and queries from {0, 1/2, 1} tie heavily, and a query
+    # equal to a row puts a zero key (-0.0 for fidelity) in its row
+    rng = RNG(56)
+    for trial in range(40):
+        size, dim = int(rng.integers(1, 120)), int(rng.integers(1, 4))
+        if kind == "random":
+            features = rng.uniform(size=(size, dim))
+            queries = rng.uniform(size=(6, dim))
+        elif kind == "halves":
+            features = rng.choice([0.0, 0.5, 1.0], size=(size, dim))
+            queries = rng.choice([0.0, 0.5, 1.0], size=(6, dim))
+        else:
+            features = np.full((size, dim), 0.5)
+            queries = np.vstack([np.full((3, dim), 0.5), rng.uniform(size=(3, dim))])
+        queries[0] = features[-1]
+        train = direct_training_set(features, rng.integers(1, 4, size=size), n_classes=3)
+        full = _stable_order(train, queries, similarity)
+        for count in {1, int(rng.integers(1, size + 1)), size}:
+            head = classify._neighbor_order(train, queries, similarity, count)
+            assert np.array_equal(head, full[:, :count]), (trial, count)
+            single = classical_knn_predict(train, queries[1], count, similarity)
+            assert np.array_equal(single.neighbor_indices, full[1, :count]), (trial, count)
 
 
 @pytest.mark.parametrize("similarity", ["euclidean", "fidelity"])

@@ -1,4 +1,5 @@
 """Grover search: closed forms, gate-level amplification, k-maximal finding."""
+import bisect
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -22,19 +23,16 @@ RNG = np.random.default_rng
 
 
 def make_table(values: np.ndarray, mode: str = "analytic") -> SimilarityTable:
-    """Wrap raw ranking values in a table (other columns are not used by the
-    search stage)."""
+    """Wrap raw ranking values in a table. The search stage ranks on the
+    fidelity in analytic mode and on the register column in gate mode, so a
+    gate table gets ``values`` as its register column, set where the table
+    caches the column it would derive (no other column is read)."""
     values = np.asarray(values, dtype=float)
-    count = values.size
-    return SimilarityTable(
-        fidelity=values,
-        ideal_p_zero=values,
-        estimated_p_zero=values,
-        sim_continuous=values,
-        sim_register=values.astype(int),
-        register_width=max(1, math.ceil(math.log2(max(count, 2)))),
-        mode="analytic" if mode == "analytic" else "gate",
-    )
+    if mode == "analytic":
+        return SimilarityTable(fidelity=values, mode="analytic")
+    table = SimilarityTable(fidelity=values, mode="gate", gate_estimates=values)
+    vars(table)["sim_register"] = values.astype(int)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +296,14 @@ def test_find_greater_absence_is_not_exhaustion():
     assert not report.success and not report.exhausted
 
 
+def test_gate_find_greater_needs_a_power_of_two_index_space():
+    table = make_table(np.arange(12.0), mode="gate")
+    with pytest.raises(ValueError, match="power-of-two"):
+        grover_find_greater(table, 5.0, RNG(0), mode="gate", space_size=12)
+    report = grover_find_greater(table, 11.0, RNG(0), mode="gate", space_size=12)
+    assert not report.success and not report.exhausted  # nothing marked: no circuit runs
+
+
 @pytest.fixture
 def missing_hits(monkeypatch):
     """Give every attempt of the analytic k-maximal search a zero hit
@@ -408,9 +414,10 @@ def test_start_cdf_unchanged_by_a_gate_search():
     assert np.array_equal(search._start_cdf(4), before)
 
 
-def _choice_measured_attempt(total, marked_values, iterations, rng):
+def _choice_measured_attempt(width, marked_values, iterations, rng):
     """Reference gate attempt: the start state built gate by gate and the
     index register measured by ``rng.choice`` on the Born probabilities."""
+    total = 1 << width
     probs = np.abs(_gate_grover_state(total, marked_values, iterations).amplitudes) ** 2
     return int(rng.choice(total, p=probs / probs.sum()))
 
@@ -486,6 +493,107 @@ def test_best_first_order_equals_stable_argsort(case):
         values[34], values[101] = -0.0, 0.0
     order = search._best_first(values)
     assert np.array_equal(order, np.argsort(-values, kind="stable"))
+
+
+def _uniforms(rng):
+    """Endless stream of uniforms on [0, 1), drawn in blocks."""
+    while True:
+        yield from rng.random(search.UNIFORM_BLOCK).tolist()
+
+
+def _rank_round(total, marked, caps, uniforms):
+    """One unknown-t round on the closed-form distribution: its report and
+    the position in [0, marked) of the marked item found, if any."""
+    if marked == 0:
+        return search._absence_report(total), None
+    theta = search.rotation_angle(total, marked)
+    report = search.GroverRunReport()
+    attempts = report.iterations_per_attempt
+    for cap in caps:
+        iterations = int(next(uniforms) * cap)
+        attempts.append(iterations)
+        report.oracle_calls += iterations
+        if next(uniforms) < search._hit_probability(theta, iterations):
+            report.success = True
+            report.verifications = len(attempts)
+            return report, int(next(uniforms) * marked)
+    report.verifications = len(attempts)
+    report.exhausted = True
+    return report, None
+
+
+def _reference_rank_search(values, start, rng, report):
+    """The analytic rounds as one ``_rank_round`` call each, drawing from a
+    uniform stream: the form the fused loop must reproduce."""
+    count, k = values.size, start.size
+    order = search._best_first(values)
+    rank_of = np.empty(count, dtype=np.intp)
+    rank_of[order] = np.arange(count)
+    ranks = sorted(rank_of[start].tolist())
+    caps = search._iteration_caps(count, search.MAX_ATTEMPTS)
+    uniforms = _uniforms(rng)
+    for _ in range(count - k + 1):
+        run, position = _rank_round(count, ranks[-1] - (k - 1), caps, uniforms)
+        search._add_round(report, run)
+        if position is None:
+            return order[ranks].tolist()
+        found = position
+        for rank in ranks:
+            if rank > found:
+                break
+            found += 1
+        run.found_index = int(order[found])
+        ranks.pop()
+        bisect.insort(ranks, found)
+        report.replacements += 1
+    raise RuntimeError("no convergence")
+
+
+def _rank_search_cases(count):
+    """(values, k, seed) over sizes 2..2048: random, tied and all-equal."""
+    rng = RNG(1357)
+    for case in range(count):
+        size = int(np.exp(rng.uniform(np.log(2), np.log(2049))))
+        kind = case % 4
+        if kind == 0:
+            values = rng.uniform(size=size)
+        elif kind == 3 and case % 40 == 3:
+            values = np.full(size, 0.25)
+        else:
+            values = rng.integers(0, 2 + 4 * kind, size=size).astype(float)
+        yield values, int(rng.integers(1, min(size, 16))), case
+
+
+def _run_rank_search(search_fn, values, k, seed):
+    rng = RNG(seed)
+    start = rng.choice(values.size, size=k, replace=False)
+    report = search.KMaximalReport()
+    try:
+        selected = search_fn(values, start, rng, report)
+    except SearchExhaustedError as exc:
+        selected = str(exc)
+    return selected, report, rng.bit_generator.state
+
+
+def test_fused_rank_search_equals_the_round_by_round_reference():
+    # 3000 searches: the same selections, per-round reports and final
+    # generator states as the reference
+    cases = 0
+    for values, k, seed in _rank_search_cases(3000):
+        fused = _run_rank_search(search._rank_search, values, k, seed)
+        assert fused == _run_rank_search(_reference_rank_search, values, k, seed), seed
+        cases += 1
+    assert cases == 3000
+
+
+def test_fused_rank_search_exhausts_as_the_reference_does(monkeypatch):
+    monkeypatch.setattr(search, "_hit_probability", lambda theta, iterations: 0.0)
+    for values, k, seed in _rank_search_cases(20):
+        fused = _run_rank_search(search._rank_search, values, k, seed)
+        assert fused == _run_rank_search(_reference_rank_search, values, k, seed), seed
+        selected, report, _ = fused
+        assert len(report.rounds) == 1
+        assert isinstance(selected, str) == report.rounds[0].exhausted
 
 
 def test_analytic_round_counters_match_gate_mode_statistically():

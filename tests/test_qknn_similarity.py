@@ -10,6 +10,7 @@ from qknn_cvqkd import qsim
 from qknn_cvqkd.qknn import (
     AmplitudeEstimate,
     EncodingError,
+    TrainingSet,
     amplitude_estimate,
     compute_similarity_table,
     estimation_error_bound,
@@ -222,6 +223,38 @@ def test_table_ideal_probability_identity():
     assert np.abs(table.ideal_p_zero - (1.0 + table.fidelity) / 2.0).max() == 0.0
     assert np.all(table.sim_register >= 0)
     assert np.all(table.sim_register < rows.shape[0])
+
+
+@pytest.mark.parametrize("mode", ["analytic", "gate"])
+def test_derived_columns_equal_the_eager_formulas(mode):
+    # the table holds the fidelity (and gate estimates) until a column is
+    # read; each derived column has the bits of the formula it replaces,
+    # and a TrainingSet's cached sqrt(1-v^2) gives the bits of bare rows
+    rng = RNG(14)
+    for size, dim in ((1, 1), (16, 2), (300, 4), (2048, 8)):
+        if dim == 2:
+            features = rng.choice([0.0, 0.5, 1.0], size=(size, dim))
+        else:
+            features = rng.uniform(size=(size, dim))
+        train = TrainingSet(features, np.ones(size, int), 1, None)
+        for query in (rng.uniform(size=dim), features[0], np.zeros(dim), np.ones(dim)):
+            table = compute_similarity_table(train, query, mode=mode, delta=0.05)
+            assert set(vars(table)) == {"fidelity", "mode", "gate_estimates"}
+            fidelity = fidelity_to_rows(features, query)
+            ideal = (1.0 + fidelity) / 2.0
+            if mode == "analytic":
+                estimated = ideal
+            else:
+                estimated = similarity._estimate_amplitudes(ideal, required_iterations(0.05))[0]
+            continuous = (size / math.pi) * np.arcsin(np.sqrt(np.clip(estimated, 0.0, 1.0)))
+            register = np.minimum(np.floor(continuous).astype(int), size - 1)
+            for name, eager in (
+                ("fidelity", fidelity), ("ideal_p_zero", ideal), ("estimated_p_zero", estimated),
+                ("sim_continuous", continuous), ("sim_register", register),
+            ):
+                column = getattr(table, name)
+                assert column.dtype == eager.dtype and column.tobytes() == eager.tobytes(), name
+                assert getattr(table, name) is column, name
 
 
 def test_table_extremes_hit_closed_form_grid_points():
