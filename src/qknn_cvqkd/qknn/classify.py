@@ -83,6 +83,8 @@ def majority_vote(labels) -> int:
     labels = np.asarray(labels, dtype=int)
     if labels.size == 0:
         raise ValueError("majority vote over no labels")
+    if labels.min() < 1:
+        raise ValueError("labels must be 1-based")
     return int(_vote(labels[None, :], int(labels.max()))[0][0])
 
 
@@ -142,8 +144,9 @@ def qknn_predict(
 
     ``analytic`` mode keeps similarities exact and is unbounded in training
     size; ``gate`` mode amplitude-estimates the closed-form swap-test
-    probabilities, ranks on the integer similarity register and runs the
-    Grover search circuit, and is meant for desk-scale validation runs.
+    probabilities, ranks on the integer similarity register and draws each
+    Grover measurement from the circuit's closed-form outcome distribution,
+    and is meant for desk-scale validation runs.
     """
     if not 1 <= k <= train.size:
         raise ValueError(f"k must lie in 1..{train.size}, got {k}")

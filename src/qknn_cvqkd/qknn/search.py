@@ -5,25 +5,24 @@ marked, l iterations leave marked amplitudes sin((2l+1)*theta)/sqrt(t) and
 unmarked ones cos((2l+1)*theta)/sqrt(M-t), theta = asin(sqrt(t/M)); the
 known-t iteration count is floor(pi/(4*theta)).
 
-Two execution paths: ``gate`` runs the actual phase-flip/diffusion circuit
-on an index-register state vector and draws the measured index from the
-state's outcome CDF; only the index is read, so no collapsed state is built.
-The Hadamard-layer start state draws no random numbers and is the same on
-every attempt, so it and its outcome CDF are built once per register width
-and shared read-only. Under the small early bounds most attempts run zero
-iterations, and such an attempt only draws from that cached CDF. Each draw
-consumes one uniform, as ``qsim.measure`` does, so every random stream is
-the one a collapsing measurement would give. ``analytic`` draws the
-measurement outcome from the same closed-form distribution without a state
-vector, which is how training sizes far beyond the qubit budget stay
-reachable. When the marked count is unknown the driver draws each attempt's
-iteration count below a bound that starts at 1, grows geometrically by 6/5
-up to sqrt(M), and restarts on failure (Boyer, Brassard, Hoyer and Tapp,
-Fortschr. Phys. 46, 493, 1998). Every search stops after ``max_attempts``
-failed attempts and flags the run as exhausted, which is not the same
-outcome as an empty marked set; an empty set is charged the ceil(3 sqrt(M))
-iterations a driver without knowledge of t would spend before concluding
-absence.
+Both execution paths draw each attempt's outcome from these closed forms;
+the tests keep the phase-flip/diffusion circuit as the reference. ``gate``
+measures the index register padded to 2^w values: it spreads the marked and
+unmarked probabilities over the indices, builds their CDF as
+``Generator.choice`` does and draws the index with one uniform, so every
+random stream is the one measuring the circuit's state gives. A
+zero-iteration attempt, the most common under the small early bounds, draws
+from the outcome CDF of the Hadamard-layer start state, built once per width
+and shared read-only. ``analytic`` draws only whether the verification
+succeeds, without an index register, which is how training sizes far beyond
+the qubit budget stay reachable. When the marked count is unknown the driver
+draws each attempt's iteration count below a bound that starts at 1, grows
+geometrically by 6/5 up to sqrt(M), and restarts on failure (Boyer,
+Brassard, Hoyer and Tapp, Fortschr. Phys. 46, 493, 1998). Every search stops
+after ``max_attempts`` failed attempts and flags the run as exhausted, which
+is not the same outcome as an empty marked set; an empty set is charged the
+ceil(3 sqrt(M)) iterations a driver without knowledge of t would spend
+before concluding absence.
 
 The k-maximal search raises a threshold as Durr and Hoyer's minimum finding
 does (arXiv:quant-ph/9607014, 1996): each round searches the unselected rows
@@ -130,8 +129,8 @@ def _absence_report(space_size: int) -> GroverRunReport:
 
 @functools.lru_cache(maxsize=16)
 def _start_state(width: int) -> qsim.StateVector:
-    """H on every qubit of a fresh ``width``-qubit register, built once per
-    width; its amplitudes are read-only, and every gate after it copies."""
+    """H on every qubit of a fresh ``width``-qubit register, the state a
+    zero-iteration attempt measures; built once per width and read-only."""
     state = qsim.new_register(width)
     for q in range(width):
         state = qsim.apply_hadamard(state, q)
@@ -148,19 +147,29 @@ def _start_cdf(width: int) -> np.ndarray:
     return cdf
 
 
+def _grover_cdf(width: int, marked_values: np.ndarray, iterations: int) -> np.ndarray:
+    """Outcome CDF of the ``width``-qubit index register after
+    ``iterations`` >= 1 Grover iterations from the closed-form
+    probabilities, sin^2((2l+1)theta)/t on each marked index and
+    cos^2((2l+1)theta)/(2^w - t) on the rest; built as
+    ``Generator.choice`` builds it (cumulative sum over its last entry)."""
+    total, t = 1 << width, marked_values.size
+    phase = (2 * iterations + 1) * math.asin(math.sqrt(t / total))
+    probs = np.full(total, math.cos(phase) ** 2 / (total - t) if t < total else 0.0)
+    probs[marked_values] = math.sin(phase) ** 2 / t
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _gate_attempt(
     width: int, marked_values: np.ndarray, iterations: int, rng: np.random.Generator
 ) -> int:
-    """Run the circuit for one attempt on a ``width``-qubit index register
-    and return the measured index."""
+    """Measure the ``width``-qubit index register after ``iterations``
+    Grover iterations and return the measured index."""
     if iterations == 0:
         return qsim.draw_outcome(_start_cdf(width), rng)
-    state = _start_state(width)
-    span = (0, width)
-    for _ in range(iterations):
-        state = qsim.apply_phase_flip(state, span, marked_values)
-        state = qsim.apply_reflection_about_uniform(state, span, 1 << width)
-    return qsim.draw_outcome(qsim.outcome_cdf(state, span), rng)
+    return qsim.draw_outcome(_grover_cdf(width, marked_values, iterations), rng)
 
 
 def _analytic_attempt(
@@ -172,6 +181,34 @@ def _analytic_attempt(
     if t == total or rng.random() < p_marked:
         return int(rng.choice(marked_values))
     return None
+
+
+def _attempts(
+    marked_mask: np.ndarray, marked_values: np.ndarray, space_size: int, width: int | None,
+    caps: tuple[int, ...], rng: np.random.Generator, known_iterations: int | None = None,
+) -> GroverRunReport:
+    """A search's attempts, one per entry of ``caps``, until a hit. With a
+    register ``width`` (gate mode) each measures the index register and
+    checks the index against ``marked_mask``; without, it draws the
+    verification outcome."""
+    report = GroverRunReport()
+    for cap in caps:
+        iterations = int(rng.integers(0, cap)) if known_iterations is None else known_iterations
+        report.iterations_per_attempt.append(iterations)
+        report.oracle_calls += iterations
+        report.verifications += 1
+        if width is None:
+            found = _analytic_attempt(space_size, marked_values, iterations, rng)
+        else:
+            found = _gate_attempt(width, marked_values, iterations, rng)
+            if found >= marked_mask.size or not marked_mask[found]:
+                found = None
+        if found is not None:
+            report.found_index = found
+            report.success = True
+            return report
+    report.exhausted = True
+    return report
 
 
 def grover_find_greater(
@@ -210,32 +247,12 @@ def grover_find_greater(
     t = marked_values.size
     if t == 0:
         return _absence_report(space_size)
-    if mode == "gate":
-        width = max(1, math.ceil(math.log2(space_size)))
-        if (1 << width) != space_size:
-            raise ValueError("gate-mode search needs a power-of-two index space")
-        marked = frozenset(marked_values.tolist())
-
-    report = GroverRunReport()
-    for cap in _iteration_caps(space_size, max_attempts):
-        if known_count:
-            iterations = optimal_iterations(space_size, t)
-        else:
-            iterations = int(rng.integers(0, cap))
-        report.iterations_per_attempt.append(iterations)
-        report.oracle_calls += iterations
-        report.verifications += 1
-        if mode == "gate":
-            measured = _gate_attempt(width, marked_values, iterations, rng)
-            found = measured if measured in marked else None
-        else:
-            found = _analytic_attempt(space_size, marked_values, iterations, rng)
-        if found is not None:
-            report.found_index = found
-            report.success = True
-            return report
-    report.exhausted = True
-    return report
+    width = max(1, math.ceil(math.log2(space_size))) if mode == "gate" else None
+    if width is not None and (1 << width) != space_size:
+        raise ValueError("gate-mode search needs a power-of-two index space")
+    caps = _iteration_caps(space_size, max_attempts)
+    known_iterations = optimal_iterations(space_size, t) if known_count else None
+    return _attempts(marked_mask, marked_values, space_size, width, caps, rng, known_iterations)
 
 
 @dataclass
@@ -342,17 +359,25 @@ def _rank_search(
 
 
 def _gate_search(
-    table: SimilarityTable, start: np.ndarray, rng: np.random.Generator, report: KMaximalReport
+    values: np.ndarray, start: np.ndarray, rng: np.random.Generator, report: KMaximalReport
 ) -> list[int]:
-    """Gate-mode rounds: register values compared alone, circuits run."""
-    values = table.ranking_value
+    """Gate-mode rounds, in one loop: register values compared alone, each
+    round an unknown-t search over the padded index register."""
     count, k = values.size, start.size
+    width = max(1, math.ceil(math.log2(count)))
+    space_size = 1 << width
+    caps = _iteration_caps(space_size, MAX_ATTEMPTS)
     selected = np.zeros(count, dtype=bool)
     selected[start] = True
     for _ in range(count - k + 1):
         selected_idx = np.flatnonzero(selected)
         weakest = selected_idx[np.argmin(values[selected_idx])]
-        run = grover_find_greater(table, float(values[weakest]), rng, eligible=~selected, mode="gate")
+        marked_mask = (values > values[weakest]) & ~selected
+        marked_values = np.flatnonzero(marked_mask)
+        if marked_values.size == 0:
+            run = _absence_report(space_size)
+        else:
+            run = _attempts(marked_mask, marked_values, space_size, width, caps, rng)
         _add_round(report, run)
         if not run.success:
             return selected_idx.tolist()
@@ -377,7 +402,8 @@ def k_maximal_find(
     runs every round on ranks with an O(1) marked count (see the module
     docstring). ``gate`` mode compares register values alone (they tie by
     design): the weakest is the lowest index holding the minimum, a row
-    beats it only with a larger value, and each round runs the circuit.
+    beats it only with a larger value, and each round measures the index
+    register from the closed-form distribution of the circuit.
     Either way a search makes at most M - k + 1 rounds of at most
     ``MAX_ATTEMPTS`` attempts each. Raises ``SearchExhaustedError`` if a
     round runs out of attempts.
@@ -396,5 +422,5 @@ def k_maximal_find(
     if mode == "analytic":
         selected = _rank_search(values, start, rng, report)
     else:
-        selected = _gate_search(table, start, rng, report)
+        selected = _gate_search(values, start, rng, report)
     return NeighborSet(selected=sorted(selected)), report

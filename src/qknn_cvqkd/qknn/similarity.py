@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -99,7 +99,8 @@ _WINDOW = np.arange(-2, 4)  # outcomes c-2 .. c+3 around c = floor(G theta/pi)
 def _mixture(outcomes: np.ndarray, phase, grid: int) -> np.ndarray:
     """P(sigma) at the integer ``outcomes`` for the eigenphase(s) ``phase``."""
     x = outcomes / grid
-    return 0.5 * (_fejer(x - phase, grid) + _fejer(x + phase, grid))
+    kernels = _fejer(np.stack([x - phase, x + phase]), grid)  # elementwise: two calls' bits
+    return 0.5 * (kernels[0] + kernels[1])
 
 
 def _folded_modes(phase: np.ndarray, grid: int) -> np.ndarray:
@@ -111,6 +112,16 @@ def _folded_modes(phase: np.ndarray, grid: int) -> np.ndarray:
     best = np.argmax(_mixture(window, phase[:, None], grid), axis=1)
     modes = np.take_along_axis(window, best[:, None], axis=1)[:, 0]
     return np.minimum(modes, grid - modes)
+
+
+@lru_cache(maxsize=16)
+def _grid_estimates(grid: int) -> np.ndarray:
+    """sin^2(pi sigma/G) at every folded outcome sigma = 0 .. G/2: one table
+    per grid, so a row's estimate does not depend on the batch; built once
+    per grid and read-only."""
+    estimates = np.sin(np.pi * np.arange(grid // 2 + 1) / grid) ** 2
+    estimates.flags.writeable = False
+    return estimates
 
 
 def _estimate_amplitudes(amplitudes, iterations: int):
@@ -127,9 +138,7 @@ def _estimate_amplitudes(amplitudes, iterations: int):
 
     phase = np.arcsin(np.sqrt(np.clip(amplitudes, 0.0, 1.0))) / np.pi
     folded = _folded_modes(phase, grid)
-    # one table per grid, so a row's estimate does not depend on the batch
-    estimates = np.sin(np.pi * np.arange(grid // 2 + 1) / grid)[folded] ** 2
-    return estimates, folded, grid, phase
+    return _grid_estimates(grid)[folded], folded, grid, phase
 
 
 def amplitude_estimate(amplitude: float, iterations: int) -> AmplitudeEstimate:

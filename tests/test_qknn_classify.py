@@ -73,6 +73,12 @@ def test_majority_vote_rejects_empty():
         majority_vote([])
 
 
+@pytest.mark.parametrize("labels", [[0, 1, 2], [2, -1], [0]])
+def test_majority_vote_rejects_labels_below_one(labels):
+    with pytest.raises(ValueError, match="labels must be 1-based"):
+        majority_vote(labels)
+
+
 # ---------------------------------------------------------------------------
 # classical baseline
 # ---------------------------------------------------------------------------

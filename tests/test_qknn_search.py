@@ -126,6 +126,44 @@ def test_reflection_equals_elementary_inversion_network():
     assert np.abs(direct.amplitudes - network.amplitudes).max() < 1e-12
 
 
+def _grover_cdf_cases():
+    """(width, marked indices, iterations): every marked count up to width
+    5, sampled counts above, each with every iteration count below the
+    largest unknown-t cap of its index space."""
+    rng = RNG(8642)
+    for width in range(1, 9):
+        total = 1 << width
+        counts = range(1, total + 1) if width <= 5 else sorted(
+            {1, 2, 3, total // 2, total - 1, total, *rng.integers(1, total, size=4).tolist()}
+        )
+        top_cap = max(search._iteration_caps(total, search.MAX_ATTEMPTS))
+        for t in counts:
+            marked = np.sort(rng.choice(total, size=t, replace=False))
+            for iterations in range(1, top_cap):
+                yield width, marked, iterations
+
+
+def test_closed_form_grover_cdf_equals_the_circuit_cdf():
+    # the circuit's outcome CDF against the closed form, and the index
+    # draw_outcome picks from each for the same seeded uniforms
+    cases = draws = 0
+    for width, marked, iterations in _grover_cdf_cases():
+        circuit = qsim.outcome_cdf(_gate_grover_state(1 << width, marked, iterations), (0, width))
+        closed = search._grover_cdf(width, marked, iterations)
+        assert np.abs(closed - circuit).max() < 1e-12, (width, marked.size, iterations)
+        assert closed[-1] == 1.0
+        seed = cases
+        gen_closed, gen_circuit = RNG(seed), RNG(seed)
+        for _ in range(64):
+            assert qsim.draw_outcome(closed, gen_closed) == qsim.draw_outcome(
+                circuit, gen_circuit
+            ), (width, marked.size, iterations)
+            draws += 1
+        assert gen_closed.bit_generator.state == gen_circuit.bit_generator.state
+        cases += 1
+    assert cases > 500 and draws == 64 * cases
+
+
 # ---------------------------------------------------------------------------
 # threshold search
 # ---------------------------------------------------------------------------

@@ -202,6 +202,42 @@ def test_window_mode_equals_full_grid_mode_on_large_grids(grid):
     assert np.array_equal(folded, np.minimum(modes, grid - modes))
 
 
+def unfused_estimates(amplitudes, grid: int):
+    """Folded window modes with each Fejer kernel from its own ``_fejer``
+    call, and their estimates from a table built on every call: (estimates,
+    folded modes, window mixture values, window outcomes)."""
+    phase = np.arcsin(np.sqrt(np.clip(amplitudes, 0.0, 1.0))) / np.pi
+    window = np.floor(grid * phase).astype(np.int64)[:, None] + similarity._WINDOW
+    window = np.sort(np.concatenate([window, -window], axis=1) % grid, axis=1)
+    x = window / grid
+    low = similarity._fejer(x - phase[:, None], grid)
+    high = similarity._fejer(x + phase[:, None], grid)
+    mixture = 0.5 * (low + high)
+    modes = np.take_along_axis(window, np.argmax(mixture, axis=1)[:, None], axis=1)[:, 0]
+    folded = np.minimum(modes, grid - modes)
+    estimates = np.sin(np.pi * np.arange(grid // 2 + 1) / grid)[folded] ** 2
+    return estimates, folded, mixture, window
+
+
+@pytest.mark.parametrize("grid", [1 << m for m in range(1, 13)])
+def test_fused_kernels_and_cached_estimate_table_equal_the_unfused_formulas(grid):
+    amplitudes = np.concatenate([grid_amplitudes(grid), RNG(grid).uniform(size=400)])
+    estimates, folded, found_grid, phase = similarity._estimate_amplitudes(amplitudes, grid)
+    expected, expected_folded, mixture, window = unfused_estimates(amplitudes, grid)
+    assert found_grid == grid
+    assert np.array_equal(folded, expected_folded)
+    assert estimates.tobytes() == expected.tobytes()
+    assert similarity._mixture(window, phase[:, None], grid).tobytes() == mixture.tobytes()
+    single = amplitude_estimate(float(amplitudes[-1]), grid).distribution
+    x = np.arange(grid) / grid
+    unfused = 0.5 * (similarity._fejer(x - phase[-1], grid) + similarity._fejer(x + phase[-1], grid))
+    assert single.tobytes() == unfused.tobytes()
+    table = similarity._grid_estimates(grid)
+    assert table is similarity._grid_estimates(grid)
+    with pytest.raises(ValueError):
+        table[0] = 1.0
+
+
 def test_gate_table_of_2048_rows_at_delta_001_equals_full_grid_reference():
     rng = RNG(21)
     rows = rng.uniform(size=(2048, 4))

@@ -292,6 +292,62 @@ def test_fock_cutoff_convergence():
     assert abs(z_auto - z_more) < 1e-8
 
 
+# the keyrate_scan grid: every (N, V_m) block over 0 .. 20 dB in 0.5 dB steps
+SCAN_MODULATION_VARIANCES = (0.2, 0.35, 0.6, 1.0, 1.5, 2.2, 3.2, 4.5, 6.0, 8.0, 10.0, 12.0)
+SCAN_LOSSES_DB = tuple(0.5 * i for i in range(41))
+
+
+def psk_block_spectrum(order: int, vm: float) -> np.ndarray:
+    """lambda_k = sum of the Poisson(|alpha|^2) weights p_n over n = k mod N,
+    n below the Fock cutoff: the one nonzero eigenvalue of tau's k-th block.
+    A sum of positive terms, unlike the DFT of exp(|alpha|^2 omega^l), which
+    cancels to zero or below for small V_m at N = 16."""
+    mean = vm / 2.0
+    n = np.arange(secrate.choose_fock_cutoff(math.sqrt(mean)))
+    log_fact = np.array([math.lgamma(m + 1.0) for m in n])
+    weights = np.exp(-mean + n * math.log(mean) - log_fact)
+    return np.bincount(n % order, weights=weights, minlength=order), weights
+
+
+def psk_correlation_closed_form(order: int, vm: float) -> tuple[float, float]:
+    """tr(tau^1/2 a tau^1/2 a^dag) and w of the truncated PSK state from its
+    block spectrum. <v_{k-1}|a|v_k> = alpha (lambda_{k-1} - eps_k), where
+    eps_k = p_{D-1} [D-1 = k-1 mod N] is the top Fock term that a drops."""
+    lam, weights = psk_block_spectrum(order, vm)
+    previous = np.roll(lam, 1)  # lambda_{k-1}
+    top = np.zeros(order)
+    top[weights.size % order] = weights[-1]  # k with k - 1 = D - 1 mod N
+    lowered = previous - top
+    trace = vm / 2.0 * np.sum(lowered**2 / np.sqrt(previous * lam))
+    c = math.sqrt(vm / 2.0) * lowered / lam
+    w = np.sum(lam * c**2) - np.sum(np.sqrt(previous * lam) * c) ** 2
+    return float(trace), float(w)
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_psk_closed_form_correlation_matches_the_fock_space_term(order):
+    for vm in SCAN_MODULATION_VARIANCES:
+        ops = secrate.build_tau(Constellation(order, vm))
+        trace, w = psk_correlation_closed_form(order, vm)
+        fock_trace = np.trace(ops.tau_sqrt @ ops.lowering @ ops.tau_sqrt @ ops.lowering.conj().T)
+        # tighter than z and w: leaving out eps_k moves the trace by ~1e-11
+        assert trace == pytest.approx(fock_trace.real, rel=1e-12), vm
+        for loss_db in SCAN_LOSSES_DB:
+            inputs = make_inputs(vm=vm, loss_db=loss_db, n=order)
+            z_fock, w_fock = secrate.correlation_term(inputs, ops)
+            t = inputs.transmittance
+            z = 2.0 * math.sqrt(t) * trace - math.sqrt(2.0 * t * inputs.excess_noise * w)
+            assert z == pytest.approx(z_fock, rel=1e-9), (vm, loss_db)
+            assert w == pytest.approx(w_fock, rel=1e-9), (vm, loss_db)
+
+
+@pytest.mark.parametrize("vm", [0.01, 0.05, 0.2, 0.35, 0.6, 1.0])
+def test_psk_block_spectrum_is_positive_at_sixteen_points(vm):
+    lam, _ = psk_block_spectrum(16, vm)
+    assert np.all(lam > 0.0)
+    assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # spectrum and Holevo bound
 # ---------------------------------------------------------------------------
