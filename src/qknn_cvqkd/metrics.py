@@ -26,6 +26,8 @@ def confusion(predicted, actual, n_classes: int) -> np.ndarray:
     actual = np.asarray(actual, dtype=int)
     if predicted.shape != actual.shape:
         raise ValueError(f"length mismatch: {predicted.shape} vs {actual.shape}")
+    if actual.size == 0:
+        raise ValueError("confusion needs at least one label")
     if predicted.min() < 1 or predicted.max() > n_classes:
         raise ValueError(f"predicted labels outside 1..{n_classes}")
     if actual.min() < 1 or actual.max() > n_classes:
@@ -33,16 +35,6 @@ def confusion(predicted, actual, n_classes: int) -> np.ndarray:
     matrix = np.zeros((n_classes, n_classes), dtype=int)
     np.add.at(matrix, (actual - 1, predicted - 1), 1)
     return matrix
-
-
-def one_vs_rest_counts(matrix: np.ndarray, klass: int) -> dict[str, int]:
-    """TP/FP/FN/TN of the one-vs-rest reduction for 1-based class ``klass``."""
-    c = klass - 1
-    tp = int(matrix[c, c])
-    fp = int(matrix[:, c].sum() - tp)
-    fn = int(matrix[c, :].sum() - tp)
-    tn = int(matrix.sum() - tp - fp - fn)
-    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
 
 
 def precision_per_class(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -105,7 +97,7 @@ def roc_macro(scores: np.ndarray, actual, n_classes: int) -> RocCurve:
     actual = np.asarray(actual, dtype=int)
     if scores.ndim != 2 or scores.shape != (actual.size, n_classes):
         raise ValueError("scores must be (n_samples, n_classes)")
-    if scores.min() < -1e-9 or scores.max() > 1 + 1e-9:
+    if not (scores.min() >= -1e-9 and scores.max() <= 1 + 1e-9):  # NaN fails too
         raise ValueError("scores must lie in [0, 1]")
     present = np.unique(actual)
     if present.size < 2:

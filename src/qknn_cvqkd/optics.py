@@ -1,5 +1,5 @@
 """Physical layer: N-PSK coherent-state modulation, lossy noisy channel,
-heterodyne detection, phase-sector labels and distance features.
+heterodyne detection and distance features.
 
 Conventions (shot-noise units, vacuum quadrature variance 1):
 - a coherent state of complex amplitude alpha has detected quadrature means
@@ -17,11 +17,8 @@ attenuation and the deterministic phase offset applied, jitter not).
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -87,33 +84,6 @@ class ChannelModel:
         eta_t = self.detector_efficiency * self.transmittance
         return (2.0 + eta_t * self.excess_noise + 2.0 * self.electronic_noise) / 2.0
 
-    def to_dict(self) -> dict:
-        return {
-            "distance_km": self.distance_km,
-            "loss_db_per_km": self.loss_db_per_km,
-            "excess_noise": self.excess_noise,
-            "detector_efficiency": self.detector_efficiency,
-            "electronic_noise": self.electronic_noise,
-            "phase_offset": self.phase_offset,
-            "phase_jitter_std": self.phase_jitter_std,
-        }
-
-
-@dataclass(frozen=True)
-class QuadratureSample:
-    """One heterodyne outcome (both quadratures, shot-noise units)."""
-
-    x: float
-    p: float
-
-
-def modulate(symbol: int, constellation: Constellation) -> complex:
-    """Transmitted amplitude for one symbol index."""
-    if not 0 <= symbol < constellation.n_points:
-        raise ValueError(f"symbol {symbol} outside 0..{constellation.n_points - 1}")
-    return complex(constellation.points[symbol])
-
-
 def detected_mean(amplitude: complex, channel: ChannelModel) -> tuple[float, float]:
     """Noiseless detected quadrature means after loss, efficiency and the
     deterministic phase offset."""
@@ -138,34 +108,12 @@ def transmit_and_detect_batch(
     return x, p
 
 
-def assign_label(x: float, p: float, n_points: int) -> int:
-    """Phase-sector label: sector 1 is centered on phase 0, sectors advance
-    counterclockwise with width 2*pi/N. Points exactly on a boundary take
-    the lower-index sector; the origin resolves to sector 1."""
-    if x == 0.0 and p == 0.0:
-        return 1
-    sector_width = 2.0 * math.pi / n_points
-    position = math.atan2(p, x) / sector_width
-    nearest = math.floor(position + 0.5)
-    if position + 0.5 == nearest:  # boundary: round down to the lower sector
-        nearest -= 1
-    return int(nearest % n_points) + 1
-
-
 def reference_points(constellation: Constellation, channel: ChannelModel) -> np.ndarray:
     """(N, 2) noiseless detected means of the standard constellation states."""
     refs = np.empty((constellation.n_points, 2))
     for k in range(constellation.n_points):
         refs[k] = detected_mean(complex(constellation.points[k]), channel)
     return refs
-
-
-def extract_features(
-    sample: QuadratureSample, constellation: Constellation, channel: ChannelModel
-) -> np.ndarray:
-    """Distances from the measured point to every constellation reference."""
-    refs = reference_points(constellation, channel)
-    return np.hypot(refs[:, 0] - sample.x, refs[:, 1] - sample.p)
 
 
 def _features_batch(x: np.ndarray, p: np.ndarray, refs: np.ndarray) -> np.ndarray:
@@ -215,70 +163,5 @@ def generate_dataset(
         raw_features=raw.features,
         labels=raw.labels,
         n_classes=constellation.n_points,
-        quadratures=np.stack([raw.x, raw.p], axis=1),
     )
 
-
-# ---------------------------------------------------------------------------
-# dataset export / import
-# ---------------------------------------------------------------------------
-
-def save_dataset_csv(
-    train: TrainingSet,
-    path: str | Path,
-    channel: ChannelModel | None = None,
-    constellation: Constellation | None = None,
-) -> None:
-    """Write raw quadratures, raw distance features and labels as CSV, plus a
-    JSON sidecar carrying channel parameters and normalization constants."""
-    path = Path(path)
-    if train.raw_features is None or train.quadratures is None:
-        raise ValueError("training set lacks raw features or quadratures")
-    dim = train.raw_features.shape[1]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "p"] + [f"d_{i}" for i in range(dim)] + ["label"])
-        for j in range(train.size):
-            row = [repr(float(train.quadratures[j, 0])), repr(float(train.quadratures[j, 1]))]
-            row += [repr(float(v)) for v in train.raw_features[j]]
-            row.append(int(train.labels[j]))
-            writer.writerow(row)
-    sidecar = {
-        "n_classes": train.n_classes,
-        "normalization": train.scaler.to_dict(),
-        "channel": None if channel is None else channel.to_dict(),
-        "constellation": None
-        if constellation is None
-        else {
-            "n_points": constellation.n_points,
-            "modulation_variance": constellation.modulation_variance,
-        },
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
-
-
-def load_dataset_csv(path: str | Path) -> TrainingSet:
-    """Rebuild a training set from the CSV and its JSON sidecar."""
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    quadratures, features, labels = [], [], []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 3
-        for row in reader:
-            quadratures.append([float(row[0]), float(row[1])])
-            features.append([float(v) for v in row[2 : 2 + dim]])
-            labels.append(int(row[-1]))
-    from .qknn.dataset import FeatureScaler
-
-    scaler = FeatureScaler.from_dict(sidecar["normalization"])
-    raw = np.asarray(features)
-    return TrainingSet(
-        features=scaler.transform(raw),
-        labels=np.asarray(labels, int),
-        n_classes=int(sidecar["n_classes"]),
-        scaler=scaler,
-        raw_features=raw,
-        quadratures=np.asarray(quadratures),
-    )

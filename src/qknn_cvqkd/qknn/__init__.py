@@ -23,11 +23,7 @@ from .search import (
     KMaximalReport,
     NeighborSet,
     SearchExhaustedError,
-    grover_amplitudes,
-    grover_find_greater,
     k_maximal_find,
-    optimal_iterations,
-    success_probability,
 )
 from .similarity import (
     AmplitudeEstimate,
@@ -57,19 +53,15 @@ __all__ = [
     "compute_similarity_table",
     "estimation_error_bound",
     "fidelity_to_rows",
-    "grover_amplitudes",
-    "grover_find_greater",
     "index_register_width",
     "k_maximal_find",
     "knn_predict_batch",
     "majority_vote",
-    "optimal_iterations",
     "prepare_query_state",
     "prepare_training_row_state",
     "prepare_training_state",
     "prepare_uniform_superposition",
     "qknn_predict",
     "required_iterations",
-    "success_probability",
     "swap_test_probability",
 ]

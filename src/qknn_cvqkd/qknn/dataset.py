@@ -28,13 +28,6 @@ class FeatureScaler:
         scaled = (np.asarray(features, dtype=float) - self.minimum) / span
         return np.clip(scaled, 0.0, 1.0)
 
-    def to_dict(self) -> dict:
-        return {"minimum": self.minimum.tolist(), "maximum": self.maximum.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeatureScaler":
-        return cls(np.asarray(data["minimum"], float), np.asarray(data["maximum"], float))
-
 
 class TrainingSet:
     """Normalized training data for the classifiers.
@@ -44,8 +37,7 @@ class TrainingSet:
     the other amplitude of each encoded feature, computed once here because
     every fidelity against the set reads it. The three arrays are read-only,
     so a write that would leave ``complement`` out of step with ``features``
-    raises ``ValueError``. Raw (pre-normalization) features and raw
-    quadratures are kept alongside for export.
+    raises ``ValueError``.
     """
 
     def __init__(
@@ -54,8 +46,6 @@ class TrainingSet:
         labels: np.ndarray,
         n_classes: int,
         scaler: FeatureScaler,
-        raw_features: np.ndarray | None = None,
-        quadratures: np.ndarray | None = None,
     ):
         features = np.asarray(features, dtype=float)
         labels = np.array(labels, dtype=int)  # a copy: it is made read-only below
@@ -74,16 +64,10 @@ class TrainingSet:
             array.flags.writeable = False
         self.n_classes = int(n_classes)
         self.scaler = scaler
-        self.raw_features = raw_features
-        self.quadratures = quadratures
 
     @classmethod
     def from_raw(
-        cls,
-        raw_features: np.ndarray,
-        labels: np.ndarray,
-        n_classes: int,
-        quadratures: np.ndarray | None = None,
+        cls, raw_features: np.ndarray, labels: np.ndarray, n_classes: int
     ) -> "TrainingSet":
         raw = np.asarray(raw_features, dtype=float)
         if not np.isfinite(raw).all():
@@ -94,8 +78,6 @@ class TrainingSet:
             labels=np.asarray(labels, dtype=int),
             n_classes=n_classes,
             scaler=scaler,
-            raw_features=raw,
-            quadratures=None if quadratures is None else np.asarray(quadratures, float),
         )
 
     @property

@@ -2,8 +2,7 @@
 
 Closed forms: starting from the uniform state over M items with t of them
 marked, l iterations leave marked amplitudes sin((2l+1)*theta)/sqrt(t) and
-unmarked ones cos((2l+1)*theta)/sqrt(M-t), theta = asin(sqrt(t/M)); the
-known-t iteration count is floor(pi/(4*theta)).
+unmarked ones cos((2l+1)*theta)/sqrt(M-t), theta = asin(sqrt(t/M)).
 
 Both execution paths draw each attempt's outcome from these closed forms;
 the tests keep the phase-flip/diffusion circuit as the reference. ``gate``
@@ -15,11 +14,11 @@ zero-iteration attempt, the most common under the small early bounds, draws
 from the outcome CDF of the Hadamard-layer start state, built once per width
 and shared read-only. ``analytic`` draws only whether the verification
 succeeds, without an index register, which is how training sizes far beyond
-the qubit budget stay reachable. When the marked count is unknown the driver
-draws each attempt's iteration count below a bound that starts at 1, grows
-geometrically by 6/5 up to sqrt(M), and restarts on failure (Boyer,
-Brassard, Hoyer and Tapp, Fortschr. Phys. 46, 493, 1998). Every search stops
-after ``max_attempts`` failed attempts and flags the run as exhausted, which
+the qubit budget stay reachable. The marked count is unknown to the search,
+so each attempt draws its iteration count below a bound that starts at 1,
+grows geometrically by 6/5 up to sqrt(M), and restarts on failure (Boyer,
+Brassard, Hoyer and Tapp, Fortschr. Phys. 46, 493, 1998). A round stops
+after ``MAX_ATTEMPTS`` failed attempts and flags the run as exhausted, which
 is not the same outcome as an empty marked set; an empty set is charged the
 ceil(3 sqrt(M)) iterations a driver without knowledge of t would spend
 before concluding absence.
@@ -38,7 +37,7 @@ The simulator uses its knowledge of the marked set only to count it (which
 sets the hit probability) and to skip a round in which nothing is marked,
 never to bias which item is found.
 
-Loop bounds: a round makes at most ``max_attempts`` attempts of fewer than
+Loop bounds: a round makes at most ``MAX_ATTEMPTS`` attempts of fewer than
 sqrt(M) iterations each. A row swapped out never beats a later weakest row,
 so it never re-enters: at most M - k swaps, hence at most M - k + 1 rounds.
 """
@@ -64,36 +63,9 @@ class SearchExhaustedError(RuntimeError):
     although marked items exist."""
 
 
-def rotation_angle(total: int, marked: int) -> float:
-    if not 0 < marked <= total:
-        raise ValueError("marked count must lie in 1..total")
-    return math.asin(math.sqrt(marked / total))
-
-
-def optimal_iterations(total: int, marked: int) -> int:
-    """floor(pi / (4*theta)) — the known-t iteration count."""
-    return int(math.pi / (4.0 * rotation_angle(total, marked)))
-
-
-def grover_amplitudes(total: int, marked: int, iterations: int) -> tuple[float, float]:
-    """Closed-form (marked, unmarked) amplitudes after ``iterations`` steps."""
-    theta = rotation_angle(total, marked)
-    phase = (2 * iterations + 1) * theta
-    q = math.sin(phase) / math.sqrt(marked)
-    s = math.cos(phase) / math.sqrt(total - marked) if marked < total else 0.0
-    return q, s
-
-
 def _hit_probability(theta: float, iterations: int) -> float:
     """sin^2((2l+1)*theta): the marked probability after l iterations."""
     return math.sin((2 * iterations + 1) * theta) ** 2
-
-
-def success_probability(total: int, marked: int, iterations: int) -> float:
-    """Probability that measuring after ``iterations`` steps hits a marked item."""
-    if marked == 0:
-        return 0.0
-    return _hit_probability(rotation_angle(total, marked), iterations)
 
 
 @functools.lru_cache(maxsize=64)
@@ -112,7 +84,7 @@ class GroverRunReport:
     """Trace of one search: per-attempt iteration counts, total oracle
     applications (one per Grover iteration), classical verifications of
     measured candidates, and the found index if any. ``exhausted`` is set
-    when marked items exist but ``max_attempts`` attempts all failed."""
+    when marked items exist but every attempt of the round failed."""
 
     found_index: int | None = None
     success: bool = False
@@ -172,87 +144,26 @@ def _gate_attempt(
     return qsim.draw_outcome(_grover_cdf(width, marked_values, iterations), rng)
 
 
-def _analytic_attempt(
-    total: int, marked_values: np.ndarray, iterations: int, rng: np.random.Generator
-) -> int | None:
-    """Draw the verification outcome from the closed-form distribution."""
-    t = marked_values.size
-    p_marked = success_probability(total, t, iterations) if t else 0.0
-    if t == total or rng.random() < p_marked:
-        return int(rng.choice(marked_values))
-    return None
-
-
 def _attempts(
-    marked_mask: np.ndarray, marked_values: np.ndarray, space_size: int, width: int | None,
-    caps: tuple[int, ...], rng: np.random.Generator, known_iterations: int | None = None,
+    marked_mask: np.ndarray, marked_values: np.ndarray, width: int,
+    caps: tuple[int, ...], rng: np.random.Generator,
 ) -> GroverRunReport:
-    """A search's attempts, one per entry of ``caps``, until a hit. With a
-    register ``width`` (gate mode) each measures the index register and
-    checks the index against ``marked_mask``; without, it draws the
-    verification outcome."""
+    """A gate round's attempts, one per entry of ``caps``, until a hit: each
+    measures the ``width``-qubit index register and checks the index
+    against ``marked_mask``."""
     report = GroverRunReport()
     for cap in caps:
-        iterations = int(rng.integers(0, cap)) if known_iterations is None else known_iterations
+        iterations = int(rng.integers(0, cap))
         report.iterations_per_attempt.append(iterations)
         report.oracle_calls += iterations
         report.verifications += 1
-        if width is None:
-            found = _analytic_attempt(space_size, marked_values, iterations, rng)
-        else:
-            found = _gate_attempt(width, marked_values, iterations, rng)
-            if found >= marked_mask.size or not marked_mask[found]:
-                found = None
-        if found is not None:
+        found = _gate_attempt(width, marked_values, iterations, rng)
+        if found < marked_mask.size and marked_mask[found]:
             report.found_index = found
             report.success = True
             return report
     report.exhausted = True
     return report
-
-
-def grover_find_greater(
-    table: SimilarityTable,
-    threshold: float,
-    rng: np.random.Generator,
-    eligible: np.ndarray | None = None,
-    mode: str = "analytic",
-    known_count: bool = False,
-    max_attempts: int = MAX_ATTEMPTS,
-    space_size: int | None = None,
-) -> GroverRunReport:
-    """Search for an eligible row whose similarity exceeds ``threshold``.
-
-    ``eligible`` restricts the marked set (the candidate pool). Absence of
-    any match is a valid outcome reported as ``found_index=None`` with
-    ``exhausted=False``; a budget spent without a hit sets ``exhausted``. The index
-    space is padded to ``space_size`` (default: the table size rounded up to
-    a power of two in gate mode) so the circuit stays realizable; padding
-    values are never marked.
-    """
-    values = table.ranking_value
-    count = values.size
-    marked_mask = values > threshold
-    if eligible is not None:
-        marked_mask = marked_mask & eligible
-    marked_values = np.flatnonzero(marked_mask)
-
-    if space_size is None:
-        space_size = 1 << max(1, math.ceil(math.log2(count))) if mode == "gate" else count
-    if space_size < count:
-        raise ValueError("index space smaller than the table")
-    if mode not in ("gate", "analytic"):
-        raise ValueError(f"unknown mode '{mode}'")
-
-    t = marked_values.size
-    if t == 0:
-        return _absence_report(space_size)
-    width = max(1, math.ceil(math.log2(space_size))) if mode == "gate" else None
-    if width is not None and (1 << width) != space_size:
-        raise ValueError("gate-mode search needs a power-of-two index space")
-    caps = _iteration_caps(space_size, max_attempts)
-    known_iterations = optimal_iterations(space_size, t) if known_count else None
-    return _attempts(marked_mask, marked_values, space_size, width, caps, rng, known_iterations)
 
 
 @dataclass
@@ -377,7 +288,7 @@ def _gate_search(
         if marked_values.size == 0:
             run = _absence_report(space_size)
         else:
-            run = _attempts(marked_mask, marked_values, space_size, width, caps, rng)
+            run = _attempts(marked_mask, marked_values, width, caps, rng)
         _add_round(report, run)
         if not run.success:
             return selected_idx.tolist()

@@ -108,21 +108,6 @@ def basis_state(n_qubits: int, value: int, cap: int = DEFAULT_QUBIT_CAP) -> Stat
     return StateVector(n_qubits, amplitudes)
 
 
-def from_amplitudes(amplitudes, normalize: bool = False) -> StateVector:
-    amps = np.asarray(amplitudes, dtype=np.complex128).ravel().copy()
-    n = int(round(math.log2(amps.size)))
-    if 1 << n != amps.size:
-        raise ValueError(f"amplitude length {amps.size} is not a power of two")
-    norm = np.linalg.norm(amps)
-    if normalize:
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        amps /= norm
-    elif abs(norm * norm - 1.0) > 1e-10:
-        raise ValueError(f"amplitudes are not normalized (|psi|^2 = {norm * norm})")
-    return StateVector(n, amps)
-
-
 def tensor_product(*states: StateVector) -> StateVector:
     """Combine states so the first argument occupies the lowest qubits."""
     amps = states[0].amplitudes
@@ -175,37 +160,6 @@ def apply_hadamard(state: StateVector, target: int) -> StateVector:
     return _apply_controlled_2x2(state, _H_MATRIX, target)
 
 
-def apply_x(state: StateVector, target: int) -> StateVector:
-    state.check_qubit(target)
-    return _apply_controlled_2x2(state, _X_MATRIX, target)
-
-
-def ry_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
-def _phase_matrix(angle: float) -> np.ndarray:
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * angle)]])
-
-
-def apply_ry(state: StateVector, target: int, angle: float) -> StateVector:
-    """Real rotation about Y; ``angle = 2*asin(v)`` maps |0> to
-    sqrt(1-v^2)|0> + v|1>."""
-    state.check_qubit(target)
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle must be finite, got {angle}")
-    return _apply_controlled_2x2(state, ry_matrix(angle), target)
-
-
-def apply_phase(state: StateVector, target: int, angle: float) -> StateVector:
-    """diag(1, e^{i*angle}) on one qubit."""
-    state.check_qubit(target)
-    if not math.isfinite(angle):
-        raise ValueError(f"phase angle must be finite, got {angle}")
-    return _apply_controlled_2x2(state, _phase_matrix(angle), target)
-
-
 def apply_multi_controlled(state: StateVector, controls, target: int) -> StateVector:
     """Flip ``target`` on basis states whose control qubits match the given
     pattern. ``controls`` is a sequence of ``(qubit, required_bit)`` pairs."""
@@ -220,46 +174,6 @@ def apply_controlled_not(
     if control == target:
         raise ValueError("control and target must differ")
     return apply_multi_controlled(state, [(control, 0 if inverted else 1)], target)
-
-
-def apply_controlled_ry(
-    state: StateVector, control: int, target: int, angle: float
-) -> StateVector:
-    if control == target:
-        raise ValueError("control and target must differ")
-    return apply_multi_controlled_ry(state, [(control, 1)], target, angle)
-
-
-def apply_multi_controlled_ry(
-    state: StateVector, controls, target: int, angle: float
-) -> StateVector:
-    """Rotate ``target`` about Y on basis states matching the control pattern."""
-    state.check_qubit(target)
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle must be finite, got {angle}")
-    return _apply_controlled_2x2(state, ry_matrix(angle), target, controls)
-
-
-def apply_controlled_phase(
-    state: StateVector, control: int, target: int, angle: float
-) -> StateVector:
-    """diag(1,1,1,e^{i*angle}); symmetric in control and target."""
-    if control == target:
-        raise ValueError("control and target must differ")
-    state.check_qubit(target)
-    if not math.isfinite(angle):
-        raise ValueError(f"phase angle must be finite, got {angle}")
-    return _apply_controlled_2x2(state, _phase_matrix(angle), target, [(control, 1)])
-
-
-def apply_swap(state: StateVector, qubit_a: int, qubit_b: int) -> StateVector:
-    if qubit_a == qubit_b:
-        return StateVector(state.n_qubits, state.amplitudes.copy())
-    state.check_qubit(qubit_a)
-    state.check_qubit(qubit_b)
-    n = state.n_qubits
-    tensor = state.amplitudes.reshape((2,) * n)
-    return _wrap(state, np.swapaxes(tensor, n - 1 - qubit_a, n - 1 - qubit_b).flatten())
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +376,3 @@ def measure(state: StateVector, span, rng: np.random.Generator) -> MeasurementOu
     view[:, bits, :] = keep / math.sqrt(outcome_probs[bits])
     post = StateVector(state.n_qubits, amps)
     return MeasurementOutcome(bits=bits, probability=float(outcome_probs[bits]), post_state=post)
-
-
-def reduced_density_matrix(state: StateVector, span) -> np.ndarray:
-    """Partial trace onto the span (used to check disentanglement)."""
-    span = state.check_span(span)
-    view = _span_view(state.amplitudes, state.n_qubits, span)
-    return np.einsum("hal,hbl->ab", view, view.conj())

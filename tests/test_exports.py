@@ -1,0 +1,64 @@
+"""Every public name of ``qsim`` and ``qknn`` has a caller: the package
+itself, the benchmark, or a named test that uses it as a reference."""
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from qknn_cvqkd import qknn, qsim
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# exports that only tests call, each with the test that needs it
+TEST_REFERENCES = {
+    "apply_phase_flip": "tests/test_qknn_search.py::_gate_grover_state",
+    "apply_reflection_about_uniform": "tests/test_qknn_search.py::_gate_grover_state",
+    "classical_knn_predict": "tests/test_qknn_classify.py::test_batch_predictions_match_single_queries",
+    "estimation_error_bound": "tests/test_qknn_similarity.py::test_estimate_error_bound_on_coarse_grid",
+}
+
+
+def _references(path: Path) -> Counter:
+    """Names a module reads, as bare names or attributes, by name. A
+    top-level definition's reads of its own name do not count, and import
+    statements and ``__all__`` strings hold no reads."""
+    counts = Counter()
+    for statement in ast.parse(path.read_text()).body:
+        reads = _reads(statement)
+        reads.pop(getattr(statement, "name", None), None)
+        counts += reads
+    return counts
+
+
+def _reads(tree: ast.AST) -> Counter:
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def _package_and_bench_references() -> Counter:
+    counts = Counter()
+    for path in [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]:
+        counts += _references(path)
+    return counts
+
+
+@pytest.mark.parametrize("module", [qsim, qknn], ids=["qsim", "qknn"])
+def test_every_export_has_a_caller(module):
+    referenced = _package_and_bench_references()
+    dead = [name for name in module.__all__ if not referenced[name] and name not in TEST_REFERENCES]
+    assert not dead, f"exported but never called outside tests: {dead}"
+
+
+def test_test_only_exports_are_exported_and_used_by_the_named_test():
+    referenced = _package_and_bench_references()
+    for name, test in TEST_REFERENCES.items():
+        assert name in qsim.__all__ or name in qknn.__all__, name
+        assert not referenced[name], f"{name} has a caller outside tests; drop it from the list"
+        test_file, test_name = test.split("::")
+        tree = ast.parse((ROOT / test_file).read_text())
+        function = next(s for s in tree.body if getattr(s, "name", None) == test_name)
+        assert _reads(function)[name], f"{test} does not call {name}"

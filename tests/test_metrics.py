@@ -33,16 +33,9 @@ def test_confusion_rejects_length_mismatch():
         metrics.confusion([1, 2], [1], 2)
 
 
-def test_one_vs_rest_counts_recover_support():
-    rng = RNG(0)
-    actual = rng.integers(1, 9, size=500)
-    predicted = rng.integers(1, 9, size=500)
-    cm = metrics.confusion(predicted, actual, 8)
-    for klass in range(1, 9):
-        counts = metrics.one_vs_rest_counts(cm, klass)
-        assert counts["tp"] + counts["fn"] == int((actual == klass).sum())
-        assert counts["tp"] + counts["fp"] == int((predicted == klass).sum())
-        assert sum(counts.values()) == 500
+def test_confusion_rejects_empty_labels():
+    with pytest.raises(ValueError, match="at least one label"):
+        metrics.confusion([], [], 2)
 
 
 def test_precision_diagonal_matrix():
@@ -65,11 +58,12 @@ def test_precision_matches_manual_recount():
     predicted = rng.integers(1, 9, size=400)
     cm = metrics.confusion(predicted, actual, 8)
     per_class, average = metrics.precision_per_class(cm)
+    assert np.array_equal(cm.sum(axis=1), np.bincount(actual, minlength=9)[1:])
     manual = []
     for klass in range(1, 9):
-        counts = metrics.one_vs_rest_counts(cm, klass)
-        denom = counts["tp"] + counts["fp"]
-        manual.append(counts["tp"] / denom if denom else 0.0)
+        tp = int(((predicted == klass) & (actual == klass)).sum())
+        denom = int((predicted == klass).sum())
+        manual.append(tp / denom if denom else 0.0)
     assert np.allclose(per_class, manual)
     assert average == pytest.approx(float(np.mean(manual)))
 
@@ -124,6 +118,15 @@ def test_roc_invariant_under_monotone_transform():
     assert np.allclose(base.false_positive_rate, squashed.false_positive_rate)
     assert np.allclose(base.true_positive_rate, squashed.true_positive_rate)
     assert base.auc == pytest.approx(squashed.auc, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])
+def test_roc_rejects_scores_outside_the_unit_interval(bad):
+    # a NaN compares false both ways, so only a negated in-range test stops it
+    scores = np.array([[0.9, 0.1], [0.2, 0.8], [0.7, 0.3], [0.4, 0.6]])
+    scores[1, 0] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        metrics.roc_macro(scores, np.array([1, 2, 1, 2]), 2)
 
 
 def test_roc_rejects_single_class_truth():

@@ -32,6 +32,29 @@ def test_channel_rejects_non_finite_parameters(field, bad):
         ideal_channel(**{field: bad})
 
 
+@pytest.mark.parametrize(
+    "field,bad",
+    [
+        ("distance_km", -1.0),
+        ("loss_db_per_km", -0.1),
+        ("excess_noise", -0.01),
+        ("detector_efficiency", 0.0),
+        ("detector_efficiency", 1.5),
+        ("electronic_noise", -0.01),
+        ("phase_jitter_std", -0.1),
+    ],
+)
+def test_channel_rejects_out_of_range_parameters(field, bad):
+    with pytest.raises(ValueError):
+        ideal_channel(**{field: bad})
+
+
+@pytest.mark.parametrize("n_points,variance", [(0, 0.38), (8, 0.0), (8, -1.0)])
+def test_constellation_rejects_empty_ring_or_non_positive_variance(n_points, variance):
+    with pytest.raises(ValueError):
+        optics.Constellation(n_points, variance)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_constellation_rejects_non_finite_variance(bad):
     with pytest.raises(ValueError):
@@ -44,24 +67,19 @@ def test_constellation_rejects_non_finite_variance(bad):
 
 def test_modulate_symbol_zero_is_real_axis():
     const = optics.Constellation(8, 0.38)
-    alpha = optics.modulate(0, const)
+    alpha = const.points[0]
     assert alpha.imag == 0.0
     assert alpha.real == pytest.approx(math.sqrt(0.19), abs=1e-15)
 
 
 def test_modulate_half_turn():
     const = optics.Constellation(8, 0.38)
-    assert optics.modulate(4, const) == pytest.approx(-optics.modulate(0, const), abs=1e-12)
+    assert const.points[4] == pytest.approx(-const.points[0], abs=1e-12)
 
 
 def test_modulation_variance_amplitude_relation():
     const = optics.Constellation(4, 0.33)
-    assert abs(optics.modulate(1, const)) ** 2 == pytest.approx(0.165, abs=1e-12)
-
-
-def test_modulate_rejects_out_of_range_symbol():
-    with pytest.raises(ValueError):
-        optics.modulate(4, optics.Constellation(4, 0.33))
+    assert abs(const.points[1]) ** 2 == pytest.approx(0.165, abs=1e-12)
 
 
 def test_constellation_points_equally_spaced():
@@ -130,49 +148,19 @@ def test_phase_offset_rotates_detected_mean():
 
 
 # ---------------------------------------------------------------------------
-# labels
-# ---------------------------------------------------------------------------
-
-def test_positive_x_axis_is_first_sector():
-    assert optics.assign_label(2.0, 0.0, 8) == 1
-
-
-def test_last_constellation_point_maps_to_last_sector():
-    const = optics.Constellation(8, 0.38)
-    alpha = optics.modulate(7, const)
-    assert optics.assign_label(2 * alpha.real, 2 * alpha.imag, 8) == 8
-
-
-def test_boundary_resolves_to_lower_sector():
-    # the boundary between sectors 1 and 2 sits at phase pi/8
-    x, p = math.cos(math.pi / 8), math.sin(math.pi / 8)
-    assert optics.assign_label(x, p, 8) == 1
-    assert optics.assign_label(0.0, 0.0, 8) == 1
-
-
-def test_label_rotation_consistency():
-    rng = RNG(3)
-    n = 8
-    step = 2 * math.pi / n
-    for _ in range(200):
-        x, p = rng.normal(size=2)
-        before = optics.assign_label(x, p, n)
-        xr = x * math.cos(step) - p * math.sin(step)
-        pr = x * math.sin(step) + p * math.cos(step)
-        after = optics.assign_label(xr, pr, n)
-        assert after == before % n + 1
-
-
-# ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
+
+def features_at(x: float, p: float, refs: np.ndarray) -> np.ndarray:
+    """Distance features of one measured point, through the batch code."""
+    return optics._features_batch(np.array([x]), np.array([p]), refs)[0]
+
 
 def test_features_at_reference_point():
     const = optics.Constellation(8, 2.0)
     channel = ideal_channel(distance_km=5.0)
     refs = optics.reference_points(const, channel)
-    sample = optics.QuadratureSample(*refs[0])
-    d = optics.extract_features(sample, const, channel)
+    d = features_at(*refs[0], refs)
     assert d[0] == pytest.approx(0.0, abs=1e-12)
     diameter = 2 * np.hypot(*refs[0])
     assert d[4] == pytest.approx(diameter, abs=1e-12)
@@ -181,7 +169,7 @@ def test_features_at_reference_point():
 def test_features_at_origin_all_equal():
     const = optics.Constellation(8, 2.0)
     channel = ideal_channel(distance_km=5.0)
-    d = optics.extract_features(optics.QuadratureSample(0.0, 0.0), const, channel)
+    d = features_at(0.0, 0.0, optics.reference_points(const, channel))
     assert np.allclose(d, d[0])
 
 
@@ -190,8 +178,8 @@ def test_features_match_independent_distance_computation():
     channel = ideal_channel(distance_km=12.0, phase_offset=0.3)
     rng = RNG(4)
     x, p = rng.normal(size=2)
-    d = optics.extract_features(optics.QuadratureSample(x, p), const, channel)
     refs = optics.reference_points(const, channel)
+    d = features_at(x, p, refs)
     manual = np.array([math.sqrt((x - rx) ** 2 + (p - rp) ** 2) for rx, rp in refs])
     assert np.abs(d - manual).max() < 1e-12
 
@@ -201,8 +189,8 @@ def test_noiseless_samples_classify_by_nearest_reference():
     channel = ideal_channel(distance_km=15.0, phase_offset=0.2)
     refs = optics.reference_points(const, channel)
     for symbol in range(8):
-        mean = optics.detected_mean(optics.modulate(symbol, const), channel)
-        d = optics.extract_features(optics.QuadratureSample(*mean), const, channel)
+        mean = optics.detected_mean(complex(const.points[symbol]), channel)
+        d = features_at(*mean, refs)
         assert int(np.argmin(d)) == symbol
         assert np.allclose(refs[symbol], mean)
 
@@ -220,7 +208,7 @@ def test_sent_symbol_feature_is_smallest_in_median_at_short_distance():
 
 
 # ---------------------------------------------------------------------------
-# dataset generation and round-trip
+# dataset generation
 # ---------------------------------------------------------------------------
 
 def test_dataset_reproducible_for_fixed_seed():
@@ -230,6 +218,20 @@ def test_dataset_reproducible_for_fixed_seed():
     b = optics.generate_dataset(500, channel, const, RNG(42))
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("n_points", [2, 4, 8, 16])
+def test_label_is_the_sent_symbols_sector(n_points):
+    # symbol k sits at the center of sector k+1, the first on the positive
+    # x axis; a ring wide against the unit noise detects every sample
+    # nearest its own reference
+    const = optics.Constellation(n_points, 2.0e4)
+    raw = optics.generate_samples(400, ideal_channel(), const, RNG(n_points))
+    assert np.array_equal(raw.labels, raw.symbols + 1)
+    assert np.array_equal(np.argmin(raw.features, axis=1) + 1, raw.labels)
+    first = raw.labels == 1
+    assert (raw.x[first] > 0).all()
+    assert np.abs(raw.p[first]).max() < np.abs(raw.x[first]).min()
 
 
 def test_label_marginal_is_uniform():
@@ -247,16 +249,3 @@ def test_dataset_features_are_normalized():
     assert train.features.min() >= 0.0
     assert train.features.max() <= 1.0
     assert train.feature_dim == 8
-
-
-def test_csv_round_trip(tmp_path):
-    const = optics.Constellation(8, 0.38)
-    channel = ideal_channel(distance_km=5.0, excess_noise=0.01)
-    train = optics.generate_dataset(50, channel, const, RNG(9))
-    path = tmp_path / "dataset.csv"
-    optics.save_dataset_csv(train, path, channel=channel, constellation=const)
-    loaded = optics.load_dataset_csv(path)
-    assert np.allclose(loaded.features, train.features)
-    assert np.array_equal(loaded.labels, train.labels)
-    assert np.allclose(loaded.raw_features, train.raw_features)
-    assert loaded.n_classes == 8

@@ -173,7 +173,8 @@ def test_training_state_scratch_register_disentangled():
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
     # ... and the data registers are left pure
     data_width = scratch.offset
-    rho = qsim.reduced_density_matrix(full.state, (0, data_width))
+    view = full.state.amplitudes.reshape(-1, 1 << data_width)  # (scratch, data)
+    rho = view.T @ view.conj()  # partial trace onto the data registers
     purity = float(np.trace(rho @ rho).real)
     assert purity == pytest.approx(1.0, abs=1e-10)
 

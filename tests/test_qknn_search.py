@@ -1,6 +1,5 @@
 """Grover search: closed forms, gate-level amplification, k-maximal finding."""
 import bisect
-import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -8,13 +7,7 @@ import numpy as np
 import pytest
 
 from qknn_cvqkd import qsim
-from qknn_cvqkd.qknn import (
-    grover_amplitudes,
-    grover_find_greater,
-    k_maximal_find,
-    optimal_iterations,
-    success_probability,
-)
+from qknn_cvqkd.qknn import k_maximal_find
 from qknn_cvqkd.qknn import search
 from qknn_cvqkd.qknn.search import SearchExhaustedError
 from qknn_cvqkd.qknn.similarity import SimilarityTable
@@ -58,19 +51,6 @@ def test_amplitude_recursion_matches_closed_forms_exhaustively():
         assert np.abs(s - s_closed).max() < 1e-10, level
 
 
-def test_closed_form_wrappers():
-    q, s = grover_amplitudes(64, 1, 6)
-    theta = math.asin(math.sqrt(1 / 64))
-    assert q == pytest.approx(math.sin(13 * theta), abs=1e-14)
-    assert s == pytest.approx(math.cos(13 * theta) / math.sqrt(63), abs=1e-14)
-    assert success_probability(64, 1, 6) == pytest.approx(math.sin(13 * theta) ** 2, abs=1e-14)
-
-
-def test_optimal_iteration_counts():
-    assert optimal_iterations(64, 1) == 6
-    assert optimal_iterations(128, 1) == 8
-
-
 # ---------------------------------------------------------------------------
 # gate-level amplification
 # ---------------------------------------------------------------------------
@@ -102,11 +82,12 @@ def test_single_iteration_amplitudes_exact():
 def test_marked_probability_matches_closed_form(total, t):
     rng = RNG(total * 31 + t)
     marked = rng.choice(total, size=t, replace=False)
-    l_opt = optimal_iterations(total, t)
+    theta = math.asin(math.sqrt(t / total))
+    l_opt = int(math.pi / (4.0 * theta))  # the known-t iteration count
     state = _gate_grover_state(total, marked, l_opt)
     probs = qsim.born_probabilities(state, (0, int(math.log2(total))))
     measured = probs[marked].sum()
-    assert measured == pytest.approx(success_probability(total, t, l_opt), abs=1e-10)
+    assert measured == pytest.approx(search._hit_probability(theta, l_opt), abs=1e-10)
 
 
 def test_reflection_equals_elementary_inversion_network():
@@ -115,7 +96,7 @@ def test_reflection_equals_elementary_inversion_network():
     width = 4
     rng = RNG(11)
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-    state = qsim.from_amplitudes(amps / np.linalg.norm(amps))
+    state = qsim.StateVector(width, amps / np.linalg.norm(amps))
     direct = qsim.apply_reflection_about_uniform(state, (0, width), 16)
     network = state
     for q in range(width):
@@ -165,181 +146,92 @@ def test_closed_form_grover_cdf_equals_the_circuit_cdf():
 
 
 # ---------------------------------------------------------------------------
-# threshold search
+# gate attempts
 # ---------------------------------------------------------------------------
 
-def test_find_greater_reports_absence():
-    table = make_table(np.arange(16.0))
-    report = grover_find_greater(table, 15.0, RNG(0))
-    assert report.found_index is None and not report.success
-    assert report.oracle_calls >= 1  # the schedule charged its failure budget
+MAX_ATTEMPTS = search.MAX_ATTEMPTS
 
-
-def test_find_greater_known_count_gate_mode():
-    values = np.arange(16.0)
-    table = make_table(values, mode="gate")
-    report = grover_find_greater(table, 11.5, RNG(1), mode="gate", known_count=True)
-    assert report.success and values[report.found_index] > 11.5
-    assert report.iterations_per_attempt[0] == optimal_iterations(16, 4)
-
-
-def test_find_greater_unknown_count_analytic():
-    values = RNG(2).uniform(size=200)
-    table = make_table(values)
-    threshold = float(np.sort(values)[-5])  # four values above
-    hits = set()
-    for seed in range(20):
-        report = grover_find_greater(table, threshold, RNG(seed))
-        assert report.success
-        assert values[report.found_index] > threshold
-        hits.add(report.found_index)
-    assert len(hits) > 1  # search samples among the marked items
-
-
-def test_find_greater_respects_eligibility_mask():
-    values = np.arange(32.0)
-    table = make_table(values)
-    eligible = values < 24  # the best eligible value is 23
-    for seed in range(10):
-        report = grover_find_greater(table, 20.0, RNG(seed), eligible=eligible)
-        assert report.success and 20.0 < values[report.found_index] < 24.0
-
-
-# (mode, known_count, table size, threshold, max_attempts) -> per seed 0..3
-# (found_index, iterations_per_attempt, exhausted), as recorded with separate
-# known-t and unknown-t attempt loops: one loop must leave the RNG draws unchanged
+# (table size, threshold, attempt budget) -> per seed 0..3 (found_index,
+# iterations_per_attempt, exhausted) of one gate round on the values
+# 0..size-1, as recorded with separate known-t and unknown-t attempt loops
+# and a circuit per attempt: the attempt loop must leave the RNG draws
+# unchanged
 GROVER_REPORTS = {
-    ("analytic", False, 16, 7.5, 64): [
-        (10, [0, 1], False),
-        (15, [0, 1], False),
-        (8, [0], False),
-        (9, [0], False),
-    ],
-    ("analytic", False, 64, 62.5, 64): [
-        (63, [0, 1], False),
-        (63, [0, 1, 1, 0, 0, 0, 1], False),
-        (63, [0, 0, 0, 0, 1, 2], False),
-        (63, [0, 0, 0, 0, 0, 0, 0, 1, 1, 3, 4, 6], False),
-    ],
-    ("analytic", False, 16, 14.5, 3): [
-        (15, [0, 1], False),
-        (15, [0, 1], False),
-        (None, [0, 0, 0], True),
-        (None, [0, 0, 0], True),
-    ],
-    ("analytic", True, 16, 7.5, 64): [
-        (10, [0, 0], False),
-        (14, [0, 0, 0], False),
-        (8, [0], False),
-        (9, [0], False),
-    ],
-    ("analytic", True, 64, 62.5, 64): [
-        (63, [6], False),
-        (63, [6], False),
-        (63, [6], False),
-        (63, [6], False),
-    ],
-    ("analytic", True, 16, 14.5, 3): [
-        (15, [3], False),
-        (15, [3], False),
-        (15, [3], False),
-        (15, [3], False),
-    ],
-    ("gate", False, 16, 7.5, 64): [
+    (16, 7.5, 64): [
         (10, [0], False),
         (8, [0], False),
         (13, [0, 0], False),
         (12, [0, 0], False),
     ],
-    ("gate", False, 64, 62.5, 64): [
+    (64, 62.5, 64): [
         (63, [0, 1, 0, 0, 2, 2, 2], False),
         (63, [0, 1, 1], False),
         (63, [0, 0, 0, 0, 1, 2, 0, 1, 2, 4], False),
         (63, [0, 0, 0, 0, 0, 0, 0, 1, 1, 3], False),
     ],
-    ("gate", False, 16, 14.5, 3): [
+    (16, 14.5, 3): [
         (None, [0, 1, 0], True),
         (15, [0, 1, 1], False),
         (None, [0, 0, 0], True),
         (None, [0, 0, 0], True),
     ],
-    ("gate", True, 16, 7.5, 64): [
-        (10, [0], False),
-        (8, [0], False),
-        (13, [0, 0, 0], False),
-        (12, [0, 0, 0], False),
-    ],
-    ("gate", True, 64, 62.5, 64): [
-        (63, [6], False),
-        (63, [6], False),
-        (63, [6], False),
-        (63, [6], False),
-    ],
-    ("gate", True, 16, 14.5, 3): [
-        (15, [3], False),
-        (15, [3], False),
-        (15, [3], False),
-        (15, [3], False),
-    ],
 }
 
 
-@pytest.mark.parametrize("case", sorted(GROVER_REPORTS))
-def test_find_greater_reports_per_seed(case):
-    mode, known_count, size, threshold, max_attempts = case
-    table = make_table(np.arange(float(size)), mode=mode)
-    for seed, (found, iterations, exhausted) in enumerate(GROVER_REPORTS[case]):
-        report = grover_find_greater(
-            table, threshold, RNG(seed), mode=mode,
-            known_count=known_count, max_attempts=max_attempts,
-        )
-        assert report.found_index == found, seed
-        assert report.success == (found is not None), seed
-        assert report.iterations_per_attempt == iterations, seed
-        assert report.oracle_calls == sum(iterations), seed
-        assert report.verifications == len(iterations), seed
-        assert report.exhausted == exhausted, seed
+GROVER_CASES = [
+    (case, seed) for case in sorted(GROVER_REPORTS) for seed in range(len(GROVER_REPORTS[case]))
+]
 
 
-MAX_ATTEMPTS = inspect.signature(grover_find_greater).parameters["max_attempts"].default
+@pytest.mark.parametrize(
+    "case,seed",
+    GROVER_CASES,
+    ids=[f"size{c[0]}-above{c[1]}-budget{c[2]}-seed{seed}" for c, seed in GROVER_CASES],
+)
+def test_gate_attempts_reports_per_seed(case, seed):
+    size, threshold, budget = case
+    found, iterations, exhausted = GROVER_REPORTS[case][seed]
+    marked_mask = np.arange(float(size)) > threshold
+    width = int(math.log2(size))
+    caps = search._iteration_caps(size, budget)
+    report = search._attempts(marked_mask, np.flatnonzero(marked_mask), width, caps, RNG(seed))
+    assert report.found_index == found
+    assert report.success == (found is not None)
+    assert report.iterations_per_attempt == iterations
+    assert report.oracle_calls == sum(iterations)
+    assert report.verifications == len(iterations)
+    assert report.exhausted == exhausted
 
 
-@pytest.fixture
-def failing_attempts(monkeypatch):
-    """Make every analytic attempt miss; a loop that ignores its budget
-    fails the test instead of hanging."""
+@pytest.mark.parametrize("space_size", [4, 16, 64, 1024])
+def test_iteration_caps_grow_from_one_to_the_square_root(space_size):
+    caps = search._iteration_caps(space_size, MAX_ATTEMPTS)
+    assert len(caps) == MAX_ATTEMPTS
+    assert caps[0] == 1
+    assert all(a <= b for a, b in zip(caps, caps[1:]))
+    assert max(caps) == math.ceil(math.sqrt(space_size))
+    bound = 1.0
+    for cap in caps:  # the bound grows by 6/5 per attempt until it reaches sqrt(M)
+        assert cap == max(1, math.ceil(bound))
+        bound = min(6.0 / 5.0 * bound, math.sqrt(space_size))
+
+
+def test_gate_k_maximal_raises_after_exactly_max_attempts(monkeypatch):
+    # every attempt measures an unmarked index; a round that ignores its
+    # budget fails the test instead of hanging
     calls = []
 
-    def never_found(total, marked_values, iterations, rng):
+    def never_hit(width, marked_values, iterations, rng):
         calls.append(iterations)
         if len(calls) > MAX_ATTEMPTS:
             pytest.fail(f"attempt {len(calls)} exceeds the budget of {MAX_ATTEMPTS}")
-        return None
+        return int(np.setdiff1d(np.arange(1 << width), marked_values)[0])
 
-    monkeypatch.setattr(search, "_analytic_attempt", never_found)
-    return calls
-
-
-@pytest.mark.parametrize("known_count", [False, True])
-def test_find_greater_flags_an_exhausted_budget(failing_attempts, known_count):
-    table = make_table(np.arange(16.0))
-    report = grover_find_greater(table, 7.5, RNG(0), known_count=known_count)
-    assert report.exhausted and not report.success and report.found_index is None
-    assert len(report.iterations_per_attempt) == MAX_ATTEMPTS == len(failing_attempts)
-    assert report.verifications == MAX_ATTEMPTS
-
-
-def test_find_greater_absence_is_not_exhaustion():
-    report = grover_find_greater(make_table(np.arange(16.0)), 15.0, RNG(0))
-    assert not report.success and not report.exhausted
-
-
-def test_gate_find_greater_needs_a_power_of_two_index_space():
-    table = make_table(np.arange(12.0), mode="gate")
-    with pytest.raises(ValueError, match="power-of-two"):
-        grover_find_greater(table, 5.0, RNG(0), mode="gate", space_size=12)
-    report = grover_find_greater(table, 11.0, RNG(0), mode="gate", space_size=12)
-    assert not report.success and not report.exhausted  # nothing marked: no circuit runs
+    monkeypatch.setattr(search, "_gate_attempt", never_hit)
+    table = make_table(RNG(7).permutation(16).astype(float), mode="gate")
+    with pytest.raises(SearchExhaustedError):
+        k_maximal_find(table, 3, RNG(8), mode="gate")
+    assert len(calls) == MAX_ATTEMPTS
 
 
 @pytest.fixture
@@ -394,6 +286,28 @@ def test_k_maximal_gate_mode_matches_exhaustive_sort():
     neighbors, report = k_maximal_find(table, 3, rng, mode="gate")
     assert set(neighbors.selected) == set(np.argsort(-values)[:3].tolist())
     assert report.oracle_calls > 0
+
+
+@pytest.mark.parametrize("count", [3, 5, 12])
+def test_gate_k_maximal_pads_the_index_register_to_a_power_of_two(count):
+    # indices in [count, 2^w) are never marked, so a hit is always a row
+    values = RNG(count).permutation(100)[:count].astype(float)
+    table = make_table(values, mode="gate")
+    for seed in range(5):
+        neighbors, report = k_maximal_find(table, 2, RNG(seed), mode="gate")
+        assert set(neighbors.selected) == set(np.argsort(-values)[:2].tolist()), seed
+        assert all(run.found_index < count for run in report.rounds if run.success), seed
+
+
+@pytest.mark.parametrize("mode", ["analytic", "gate"])
+def test_final_round_reports_absence_not_exhaustion(mode):
+    # the last round marks nothing: one verification and the unknown-t budget
+    values = RNG(5).permutation(16).astype(float)
+    _, report = k_maximal_find(make_table(values, mode=mode), 3, RNG(6), mode=mode)
+    last = report.rounds[-1]
+    assert not last.success and not last.exhausted and last.found_index is None
+    assert last.oracle_calls == math.ceil(3.0 * math.sqrt(16)) and last.verifications == 1
+    assert all(run.success for run in report.rounds[:-1])
 
 
 def test_analytic_k_maximal_breaks_ties_by_lower_index():
@@ -544,7 +458,7 @@ def _rank_round(total, marked, caps, uniforms):
     the position in [0, marked) of the marked item found, if any."""
     if marked == 0:
         return search._absence_report(total), None
-    theta = search.rotation_angle(total, marked)
+    theta = math.asin(math.sqrt(marked / total))
     report = search.GroverRunReport()
     attempts = report.iterations_per_attempt
     for cap in caps:

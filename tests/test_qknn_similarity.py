@@ -21,6 +21,7 @@ from qknn_cvqkd.qknn import (
 )
 from qknn_cvqkd.qknn import similarity
 from qknn_cvqkd.qsim import StateVector
+from qknn_cvqkd.qsim.statevector import _apply_controlled_2x2
 
 RNG = np.random.default_rng
 
@@ -42,6 +43,12 @@ def gate_fidelity(vector_a: np.ndarray, vector_b: np.ndarray) -> float:
     return max(0.0, 2.0 * p_zero - 1.0)
 
 
+def _ry(angle: float) -> np.ndarray:
+    """Rotation about Y: |0> goes to cos(angle/2)|0> + sin(angle/2)|1>."""
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return np.array([[c, -s], [s, c]])
+
+
 def circuit_amplitude_estimate(
     amplitude: float, iterations: int, m_bits: int | None = None
 ) -> AmplitudeEstimate:
@@ -51,7 +58,9 @@ def circuit_amplitude_estimate(
     grid at least as fine as ``iterations``); Hadamards, the controlled
     powers of the amplification rotation, and the inverse Fourier transform
     produce the outcome distribution, whose mode sigma yields the estimate
-    sin^2(pi*sigma/grid).
+    sin^2(pi*sigma/grid). The rotations go through the simulator's
+    controlled 2x2 kernel; the inverse Fourier transform is the dense
+    matrix exp(-2*pi*i*x*y/grid)/sqrt(grid) on the counting span.
     """
     if not 0.0 <= amplitude <= 1.0:
         raise ValueError(f"amplitude must lie in [0, 1], got {amplitude}")
@@ -63,13 +72,16 @@ def circuit_amplitude_estimate(
 
     theta = math.asin(math.sqrt(amplitude))
     state = qsim.new_register(m_bits + 1)
-    state = qsim.apply_ry(state, 0, 2.0 * theta)  # |gamma> in the rotation plane
+    state = _apply_controlled_2x2(state, _ry(2.0 * theta), 0)  # |gamma> in the rotation plane
     for t in range(m_bits):
         state = qsim.apply_hadamard(state, 1 + t)
     for t in range(m_bits):
         # controlled Q^(2^t); Q rotates the plane by 2*theta
-        state = qsim.apply_controlled_ry(state, 1 + t, 0, 4.0 * theta * (1 << t))
-    state = qsim.apply_iqft(state, (1, m_bits))
+        state = _apply_controlled_2x2(state, _ry(4.0 * theta * (1 << t)), 0, [(1 + t, 1)])
+    y = np.arange(grid)
+    inverse_fourier = np.exp(-2j * math.pi * np.outer(y, y) / grid) / math.sqrt(grid)
+    counting = inverse_fourier @ state.amplitudes.reshape(grid, 2)  # (counting span, qubit 0)
+    state = StateVector(m_bits + 1, counting.reshape(-1))
 
     distribution = qsim.born_probabilities(state, (1, m_bits))
     sigma = int(np.argmax(distribution))

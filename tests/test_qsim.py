@@ -1,4 +1,4 @@
-"""Core simulator checks: gate algebra, comparator, swap test, QFT, sampling."""
+"""Core simulator checks: gate algebra, comparator, swap test, sampling."""
 import math
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qknn_cvqkd import qsim
+from qknn_cvqkd.qsim.statevector import _apply_controlled_2x2
 
 RNG = np.random.default_rng
 
@@ -13,7 +14,7 @@ RNG = np.random.default_rng
 def random_state(n_qubits: int, seed: int) -> qsim.StateVector:
     rng = RNG(seed)
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
-    return qsim.from_amplitudes(amps / np.linalg.norm(amps))
+    return qsim.StateVector(n_qubits, amps / np.linalg.norm(amps))
 
 
 # ---------------------------------------------------------------------------
@@ -66,24 +67,6 @@ def test_hadamard_uniform_superposition():
 def test_hadamard_bad_index():
     with pytest.raises(IndexError):
         qsim.apply_hadamard(qsim.new_register(2), 2)
-
-
-@pytest.mark.parametrize(
-    "v,expected",
-    [
-        (1.0, (0.0, 1.0)),
-        (0.0, (1.0, 0.0)),
-        (0.6, (0.8, 0.6)),  # rotation matrix applied to |0> by hand
-    ],
-)
-def test_ry_amplitude_loading(v, expected):
-    out = qsim.apply_ry(qsim.new_register(1), 0, 2.0 * math.asin(v))
-    assert np.allclose(out.amplitudes, expected, atol=1e-12)
-
-
-def test_ry_rejects_non_finite():
-    with pytest.raises(ValueError):
-        qsim.apply_ry(qsim.new_register(1), 0, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +173,9 @@ def test_cmp_width_mismatch():
 # ---------------------------------------------------------------------------
 
 def _swap_test_p0(a: np.ndarray, b: np.ndarray) -> float:
-    sa = qsim.from_amplitudes(a)
-    sb = qsim.from_amplitudes(b)
-    w = sa.n_qubits
+    w = int(math.log2(a.size))
+    sa = qsim.StateVector(w, np.asarray(a, dtype=np.complex128))
+    sb = qsim.StateVector(w, np.asarray(b, dtype=np.complex128))
     control = qsim.new_register(1)
     system = qsim.tensor_product(sa, sb, control)
     out = qsim.cswap_test(system, control=2 * w, span_a=(0, w), span_b=(w, w))
@@ -224,43 +207,6 @@ def test_swap_test_random_pairs_encode_fidelity():
 def test_swap_test_span_mismatch():
     with pytest.raises(ValueError):
         qsim.cswap_test(qsim.new_register(4), control=3, span_a=(0, 2), span_b=(2, 1))
-
-
-# ---------------------------------------------------------------------------
-# Fourier transforms
-# ---------------------------------------------------------------------------
-
-def test_iqft_inverts_qft():
-    state = random_state(5, seed=13)
-    out = qsim.apply_iqft(qsim.apply_qft(state, (1, 3)), (1, 3))
-    assert np.abs(out.amplitudes - state.amplitudes).max() < 1e-12
-
-
-def test_iqft_single_qubit_is_hadamard():
-    state = random_state(2, seed=17)
-    a = qsim.apply_iqft(state, (1, 1))
-    b = qsim.apply_hadamard(state, 1)
-    assert np.abs(a.amplitudes - b.amplitudes).max() < 1e-12
-
-
-def test_iqft_recovers_fourier_mode():
-    # amplitudes e^{2*pi*i*3y/8}/sqrt(8) carry Fourier mode 3
-    y = np.arange(8)
-    mode = np.exp(2j * math.pi * 3 * y / 8) / math.sqrt(8)
-    expected = qsim.fourier_matrix(3, inverse=True) @ mode  # independent dense oracle
-    out = qsim.apply_iqft(qsim.from_amplitudes(mode), (0, 3))
-    assert np.abs(out.amplitudes - expected).max() < 1e-12
-    assert np.argmax(np.abs(out.amplitudes)) == 3
-
-
-def test_qft_circuit_matches_dense_matrix_on_subspan():
-    state = random_state(5, seed=19)
-    out = qsim.apply_qft(state, (1, 3))
-    # independent route: dense matrix applied over the span axis
-    dense = qsim.fourier_matrix(3)
-    view = state.amplitudes.reshape(2, 8, 2)  # (q4, span q1..q3, q0)
-    expected = np.einsum("xy,ayb->axb", dense, view).reshape(-1)
-    assert np.abs(out.amplitudes - expected).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -390,33 +336,46 @@ def test_born_probabilities_sum_to_one(seed):
 # global invariants: norm preservation and exact inverses
 # ---------------------------------------------------------------------------
 
+X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def ry(angle: float) -> np.ndarray:
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return np.array([[c, -s], [s, c]])
+
+
+def phase(angle: float) -> np.ndarray:
+    return np.diag([1.0, np.exp(1j * angle)])
+
+
 GATE_PAIRS = [
     ("hadamard", lambda s: qsim.apply_hadamard(s, 1), lambda s: qsim.apply_hadamard(s, 1)),
-    ("x", lambda s: qsim.apply_x(s, 0), lambda s: qsim.apply_x(s, 0)),
+    # the shared 2x2 kernel, uncontrolled and controlled, with matrix inverses
+    ("x", lambda s: _apply_controlled_2x2(s, X, 0), lambda s: _apply_controlled_2x2(s, X, 0)),
     (
         "ry",
-        lambda s: qsim.apply_ry(s, 2, 0.7361),
-        lambda s: qsim.apply_ry(s, 2, -0.7361),
+        lambda s: _apply_controlled_2x2(s, ry(0.7361), 2),
+        lambda s: _apply_controlled_2x2(s, ry(-0.7361), 2),
     ),
     (
         "phase",
-        lambda s: qsim.apply_phase(s, 3, 1.234),
-        lambda s: qsim.apply_phase(s, 3, -1.234),
+        lambda s: _apply_controlled_2x2(s, phase(1.234), 3),
+        lambda s: _apply_controlled_2x2(s, phase(-1.234), 3),
+    ),
+    (
+        "controlled_ry",
+        lambda s: _apply_controlled_2x2(s, ry(0.4), 3, [(1, 1)]),
+        lambda s: _apply_controlled_2x2(s, ry(-0.4), 3, [(1, 1)]),
+    ),
+    (
+        "controlled_phase",
+        lambda s: _apply_controlled_2x2(s, phase(0.9), 4, [(2, 1)]),
+        lambda s: _apply_controlled_2x2(s, phase(-0.9), 4, [(2, 1)]),
     ),
     (
         "cnot",
         lambda s: qsim.apply_controlled_not(s, 0, 4),
         lambda s: qsim.apply_controlled_not(s, 0, 4),
-    ),
-    (
-        "controlled_ry",
-        lambda s: qsim.apply_controlled_ry(s, 1, 3, 0.4),
-        lambda s: qsim.apply_controlled_ry(s, 1, 3, -0.4),
-    ),
-    (
-        "controlled_phase",
-        lambda s: qsim.apply_controlled_phase(s, 2, 4, 0.9),
-        lambda s: qsim.apply_controlled_phase(s, 2, 4, -0.9),
     ),
     (
         "multi_controlled",
@@ -433,7 +392,6 @@ GATE_PAIRS = [
         lambda s: qsim.apply_controlled_swap_span(s, 4, (0, 2), (2, 2)),
         lambda s: qsim.apply_controlled_swap_span(s, 4, (0, 2), (2, 2)),
     ),
-    ("qft", lambda s: qsim.apply_qft(s, (0, 3)), lambda s: qsim.apply_iqft(s, (0, 3))),
     (
         "phase_flip",
         lambda s: qsim.apply_phase_flip(s, (0, 3), [1, 5]),
@@ -477,10 +435,12 @@ def test_reduced_density_matrix_purity():
     a = random_state(2, seed=43)
     b = random_state(2, seed=44)
     product = qsim.tensor_product(a, b)
-    rho = qsim.reduced_density_matrix(product, (0, 2))
+    view = product.amplitudes.reshape(4, 4)  # (qubits 2-3, qubits 0-1)
+    rho = view.T @ view.conj()  # partial trace onto qubits 0-1
     purity = np.trace(rho @ rho).real
     assert purity == pytest.approx(1.0, abs=1e-12)
     # a Bell pair is maximally mixed on either side
-    bell = qsim.from_amplitudes([1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)])
-    rho = qsim.reduced_density_matrix(bell, (0, 1))
+    bell = qsim.StateVector(2, np.array([1, 0, 0, 1], dtype=np.complex128) / math.sqrt(2))
+    view = bell.amplitudes.reshape(2, 2)
+    rho = view.T @ view.conj()
     assert np.trace(rho @ rho).real == pytest.approx(0.5, abs=1e-12)

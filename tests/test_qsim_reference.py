@@ -15,18 +15,19 @@ import numpy as np
 import pytest
 
 from qknn_cvqkd import qsim
+from qknn_cvqkd.qsim.statevector import _apply_controlled_2x2
 
 PROJECTORS = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-RY = qsim.ry_matrix(0.83)
+RY = np.array([[math.cos(0.415), -math.sin(0.415)], [math.sin(0.415), math.cos(0.415)]])  # 0.83 about Y
 PHASE = np.diag([1.0, np.exp(0.61j)])
 
 
 def random_state(n_qubits: int, seed: int) -> qsim.StateVector:
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
-    return qsim.from_amplitudes(amps / np.linalg.norm(amps))
+    return qsim.StateVector(n_qubits, amps / np.linalg.norm(amps))
 
 
 def kron_operator(n_qubits: int, factors: dict) -> np.ndarray:
@@ -74,9 +75,10 @@ def control_patterns(n_qubits: int, target: int):
 
 UNCONTROLLED = [
     ("hadamard", H, lambda s, t: qsim.apply_hadamard(s, t)),
-    ("x", X, lambda s, t: qsim.apply_x(s, t)),
-    ("ry", RY, lambda s, t: qsim.apply_ry(s, t, 0.83)),
-    ("phase", PHASE, lambda s, t: qsim.apply_phase(s, t, 0.61)),
+    # the shared 2x2 kernel with no controls, on the other gate matrices
+    ("x", X, lambda s, t: _apply_controlled_2x2(s, X, t)),
+    ("ry", RY, lambda s, t: _apply_controlled_2x2(s, RY, t)),
+    ("phase", PHASE, lambda s, t: _apply_controlled_2x2(s, PHASE, t)),
 ]
 
 
@@ -95,7 +97,8 @@ def test_multi_controlled_gates_match_dense_operator(n):
             state = random_state(n, seed=7 * n + target)
             x_out = qsim.apply_multi_controlled(state, controls, target)
             assert_matches(x_out, controlled_operator(n, X, target, controls), state)
-            ry_out = qsim.apply_multi_controlled_ry(state, controls, target, 0.83)
+            # the controlled rotation of the amplitude-estimation reference
+            ry_out = _apply_controlled_2x2(state, RY, target, controls)
             assert_matches(ry_out, controlled_operator(n, RY, target, controls), state)
 
 
@@ -114,21 +117,6 @@ def test_single_control_gates_match_dense_operator(n):
             assert_matches(
                 qsim.apply_controlled_not(state, control, target, inverted=True),
                 controlled_operator(n, X, target, [(control, 0)]),
-                state,
-            )
-            assert_matches(
-                qsim.apply_controlled_ry(state, control, target, 0.83),
-                controlled_operator(n, RY, target, [(control, 1)]),
-                state,
-            )
-            assert_matches(
-                qsim.apply_controlled_phase(state, control, target, 0.61),
-                controlled_operator(n, PHASE, target, [(control, 1)]),
-                state,
-            )
-            assert_matches(
-                qsim.apply_swap(state, control, target),
-                swap_operator(n, control, target),
                 state,
             )
 
@@ -156,17 +144,22 @@ def test_controlled_swap_span_matches_dense_operator(control, span_a, span_b):
     assert_matches(qsim.apply_controlled_swap_span(state, control, span_a, span_b), operator, state)
 
 
-@pytest.mark.parametrize("gate", [qsim.apply_multi_controlled, qsim.apply_multi_controlled_ry])
+@pytest.mark.parametrize(
+    "gate",
+    [
+        qsim.apply_multi_controlled,
+        lambda s, controls, t: _apply_controlled_2x2(s, RY, t, controls),
+    ],
+    ids=["apply_multi_controlled", "controlled_2x2"],
+)
 def test_multi_controlled_rejects_duplicate_control(gate):
-    args = (0.4,) if gate is qsim.apply_multi_controlled_ry else ()
     with pytest.raises(ValueError, match="duplicate"):
-        gate(qsim.new_register(3), [(0, 1), (0, 0)], 2, *args)
+        gate(qsim.new_register(3), [(0, 1), (0, 0)], 2)
 
 
-@pytest.mark.parametrize("angle", [math.nan, math.inf])
-def test_controlled_phase_rejects_non_finite(angle):
-    with pytest.raises(ValueError, match="finite"):
-        qsim.apply_controlled_phase(qsim.new_register(2), 0, 1, angle)
+def test_controlled_2x2_rejects_a_control_on_the_target():
+    with pytest.raises(ValueError, match="overlaps"):
+        _apply_controlled_2x2(qsim.new_register(3), RY, 1, [(1, 1)])
 
 
 def test_born_sum_check_survives_optimize_flag():
