@@ -117,6 +117,8 @@ def knn_predict_batch(
     """
     queries = np.atleast_2d(np.asarray(queries, float))
     k_values = sorted(set(int(k) for k in k_values))
+    if not k_values:
+        raise ValueError("need at least one k")
     if k_values[0] < 1 or k_values[-1] > train.size:
         raise ValueError(f"k values must lie in 1..{train.size}")
     sorted_labels = train.labels[_neighbor_order(train, queries, similarity, k_values[-1])]
@@ -144,9 +146,13 @@ def qknn_predict(
 
     ``analytic`` mode keeps similarities exact and is unbounded in training
     size; ``gate`` mode amplitude-estimates the closed-form swap-test
-    probabilities, ranks on the integer similarity register and draws each
-    Grover measurement from the circuit's closed-form outcome distribution,
-    and is meant for desk-scale validation runs.
+    probabilities to error ``delta`` and ranks on the integer similarity
+    register, and is meant for desk-scale validation runs. Both modes run
+    the same k-maximal search loop, which draws every Grover attempt from
+    its closed-form outcome law; the modes differ in the tie rule and the
+    index space (see ``k_maximal_find``), and gate results equal those of
+    measuring the circuit in distribution, not seed by seed. ``delta`` must
+    lie in (0, 1) in either mode.
     """
     if not 1 <= k <= train.size:
         raise ValueError(f"k must lie in 1..{train.size}, got {k}")

@@ -218,15 +218,17 @@ def compute_similarity_table(
     Every row's P(0) comes from the closed-form fidelity. ``analytic`` mode
     keeps it exact; ``gate`` mode amplitude-estimates it on the grid of
     ``required_iterations(delta)`` iterations (the folded modal outcome) and
-    ranks on the resulting integer ``sim_register``.
+    ranks on the resulting integer ``sim_register``. ``delta`` must lie in
+    (0, 1) in either mode.
     """
     if mode not in ("analytic", "gate"):
         raise ValueError(f"unknown mode '{mode}'")
+    iterations = required_iterations(delta)  # checks delta in either mode
     query = np.asarray(query, dtype=float)
     if query.ndim != 1:
         raise EncodingError("query must be a single feature vector")
     fidelity = fidelity_to_rows(train, query)
     if mode == "analytic":
         return SimilarityTable(fidelity=fidelity, mode=mode)
-    estimates = _estimate_amplitudes(swap_test_probability(fidelity), required_iterations(delta))[0]
+    estimates = _estimate_amplitudes(swap_test_probability(fidelity), iterations)[0]
     return SimilarityTable(fidelity=fidelity, mode=mode, gate_estimates=estimates)

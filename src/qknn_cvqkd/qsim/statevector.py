@@ -344,13 +344,6 @@ def _outcome_distribution(state: StateVector, span) -> tuple[np.ndarray, np.ndar
     return outcome_probs, cdf
 
 
-def outcome_cdf(state: StateVector, span) -> np.ndarray:
-    """CDF of a span measurement's outcomes, indexed by value, for
-    ``draw_outcome``. Raises ``StateCorruptionError`` on a zero or
-    non-finite state."""
-    return _outcome_distribution(state, span)[1]
-
-
 def draw_outcome(cdf: np.ndarray, rng: np.random.Generator) -> int:
     """Born draw from an outcome CDF: the first value whose CDF exceeds one
     uniform from ``rng``. This is the arithmetic of

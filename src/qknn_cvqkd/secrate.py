@@ -248,10 +248,6 @@ def correlation_term(inputs: KeyRateInputs, operators: FockOperatorSet | None = 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    a_term: float
-    b_term: float
-    c_term: float
-    d_term: float
     eigenvalues: tuple[float, float, float, float, float]
     correlation: float
     penalty_weight: float
@@ -264,12 +260,11 @@ def _sqrt_clipped(value: float, label: str) -> float:
 
 
 def symplectic_spectrum(
-    inputs: KeyRateInputs, correlation: float | None = None, penalty_weight: float | None = None
+    inputs: KeyRateInputs, correlation: float, penalty_weight: float
 ) -> SpectrumResult:
     """Symplectic eigenvalues of the joint and conditional covariance
-    matrices in the standard heterodyne closed form."""
-    if correlation is None:
-        correlation, penalty_weight = correlation_term(inputs)
+    matrices in the standard heterodyne closed form, from the correlation
+    term (Z, w) of ``correlation_term``."""
     v = inputs.ensemble_variance
     t = inputs.transmittance
     z = correlation
@@ -283,8 +278,7 @@ def symplectic_spectrum(
 
     a_term = v * v + t * t * (v + chi_line) ** 2 - 2.0 * t * z_cm_sq
     b_term = (t * (v * v + v * chi_line - z_cm_sq)) ** 2
-    lam1 = 0.5 * (a_term + _sqrt_clipped(a_term * a_term - 4.0 * b_term, "lambda_12"))
-    lam2 = 0.5 * (a_term - _sqrt_clipped(a_term * a_term - 4.0 * b_term, "lambda_12"))
+    root_12 = _sqrt_clipped(a_term * a_term - 4.0 * b_term, "lambda_12")
 
     denom = (t * (v + chi_tot)) ** 2
     sqrt_b = _sqrt_clipped(b_term, "sqrt(B)")
@@ -296,29 +290,20 @@ def symplectic_spectrum(
         + 2.0 * t * z_cm_sq
     ) / denom
     d_term = ((v + sqrt_b * chi_het) / (t * (v + chi_tot))) ** 2
-    lam3 = 0.5 * (c_term + _sqrt_clipped(c_term * c_term - 4.0 * d_term, "lambda_34"))
-    lam4 = 0.5 * (c_term - _sqrt_clipped(c_term * c_term - 4.0 * d_term, "lambda_34"))
+    root_34 = _sqrt_clipped(c_term * c_term - 4.0 * d_term, "lambda_34")
 
-    eigenvalues = []
-    for name, squared in (("lambda_1", lam1), ("lambda_2", lam2)):
-        eigenvalues.append(_sqrt_clipped(squared, name))
-    eigenvalues.append(_sqrt_clipped(lam3, "lambda_3"))
-    eigenvalues.append(_sqrt_clipped(lam4, "lambda_4"))
-    eigenvalues.append(1.0)
-    for name, lam in zip(("lambda_1", "lambda_2", "lambda_3", "lambda_4"), eigenvalues):
+    squared = (
+        0.5 * (a_term + root_12), 0.5 * (a_term - root_12),
+        0.5 * (c_term + root_34), 0.5 * (c_term - root_34),
+    )
+    roots = [_sqrt_clipped(lam, f"lambda_{i}") for i, lam in enumerate(squared, 1)]
+    for i, lam in enumerate(roots, 1):
         if lam < 1.0 - 1e-6:
-            raise KeyRateDomainError(
-                f"unphysical {name} = {lam:.9f} for inputs {inputs}"
-            )
-    eigenvalues = tuple(max(x, 1.0) for x in eigenvalues)
+            raise KeyRateDomainError(f"unphysical lambda_{i} = {lam:.9f} for inputs {inputs}")
     return SpectrumResult(
-        a_term=a_term,
-        b_term=b_term,
-        c_term=c_term,
-        d_term=d_term,
-        eigenvalues=eigenvalues,
+        eigenvalues=(*(max(lam, 1.0) for lam in roots), 1.0),
         correlation=z,
-        penalty_weight=0.0 if penalty_weight is None else penalty_weight,
+        penalty_weight=penalty_weight,
     )
 
 

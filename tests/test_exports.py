@@ -62,3 +62,35 @@ def test_test_only_exports_are_exported_and_used_by_the_named_test():
         tree = ast.parse((ROOT / test_file).read_text())
         function = next(s for s in tree.body if getattr(s, "name", None) == test_name)
         assert _reads(function)[name], f"{test} does not call {name}"
+
+
+# the closed-form chain; the circuit builders the benchmark runs stay in encoding.py
+CLOSED_FORM_MODULES = [
+    "qknn/search.py",
+    "qknn/similarity.py",
+    "qknn/classify.py",
+    "qknn/dataset.py",
+    "optics.py",
+    "metrics.py",
+    "secrate.py",
+]
+
+
+def _imported_modules(tree: ast.AST):
+    """Every dotted name an import statement of ``tree`` can bind: the
+    module of ``import a.b`` and of ``from a import b``, and ``a.b`` for
+    each name ``b`` that a ``from`` import takes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("module", CLOSED_FORM_MODULES)
+def test_closed_form_modules_import_nothing_from_qsim(module):
+    tree = ast.parse((ROOT / "src" / "qknn_cvqkd" / module).read_text())
+    imported = [name for name in _imported_modules(tree) if "qsim" in name.split(".")]
+    assert not imported, f"{module} imports {imported}"

@@ -110,6 +110,20 @@ def test_k_larger_than_training_size_rejected():
         classical_knn_predict(train, np.zeros(3), k=5)
 
 
+def test_batch_rejects_an_empty_k_list():
+    train = random_training_set(0, size=4, dim=3, n_classes=2)
+    with pytest.raises(ValueError, match="need at least one k"):
+        knn_predict_batch(train, np.zeros((2, 3)), [])
+
+
+@pytest.mark.parametrize("mode", ["analytic", "gate"])
+@pytest.mark.parametrize("delta", [0.0, 1.0, 7.0, np.nan])
+def test_qknn_rejects_delta_outside_the_unit_interval(mode, delta):
+    train = random_training_set(0, size=4, dim=3, n_classes=2)
+    with pytest.raises(ValueError, match="delta"):
+        qknn_predict(train, np.full(3, 0.5), 1, RNG(0), mode=mode, delta=delta)
+
+
 @pytest.mark.parametrize("similarity", ["euclidean", "fidelity"])
 def test_query_width_must_match_features(similarity):
     train = random_training_set(0, size=4, dim=3, n_classes=2)

@@ -1,7 +1,5 @@
 """Grover search: closed forms, gate-level amplification, k-maximal finding."""
-import bisect
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -107,7 +105,7 @@ def test_reflection_equals_elementary_inversion_network():
     assert np.abs(direct.amplitudes - network.amplitudes).max() < 1e-12
 
 
-def _grover_cdf_cases():
+def _grover_cases():
     """(width, marked indices, iterations): every marked count up to width
     5, sampled counts above, each with every iteration count below the
     largest unknown-t cap of its index space."""
@@ -117,95 +115,41 @@ def _grover_cdf_cases():
         counts = range(1, total + 1) if width <= 5 else sorted(
             {1, 2, 3, total // 2, total - 1, total, *rng.integers(1, total, size=4).tolist()}
         )
-        top_cap = max(search._iteration_caps(total, search.MAX_ATTEMPTS))
+        top_cap = max(search._iteration_caps(total))
         for t in counts:
             marked = np.sort(rng.choice(total, size=t, replace=False))
             for iterations in range(1, top_cap):
                 yield width, marked, iterations
 
 
-def test_closed_form_grover_cdf_equals_the_circuit_cdf():
-    # the circuit's outcome CDF against the closed form, and the index
-    # draw_outcome picks from each for the same seeded uniforms
-    cases = draws = 0
-    for width, marked, iterations in _grover_cdf_cases():
-        circuit = qsim.outcome_cdf(_gate_grover_state(1 << width, marked, iterations), (0, width))
-        closed = search._grover_cdf(width, marked, iterations)
-        assert np.abs(closed - circuit).max() < 1e-12, (width, marked.size, iterations)
-        assert closed[-1] == 1.0
-        seed = cases
-        gen_closed, gen_circuit = RNG(seed), RNG(seed)
-        for _ in range(64):
-            assert qsim.draw_outcome(closed, gen_closed) == qsim.draw_outcome(
-                circuit, gen_circuit
-            ), (width, marked.size, iterations)
-            draws += 1
-        assert gen_closed.bit_generator.state == gen_circuit.bit_generator.state
+def test_circuit_marked_mass_equals_the_closed_form_hit_probability():
+    # what a search attempt draws: the marked mass is sin^2((2l+1)theta),
+    # and a marked index found is uniform because every marked amplitude
+    # is the same
+    cases = 0
+    for width, marked, iterations in _grover_cases():
+        total = 1 << width
+        amplitudes = _gate_grover_state(total, marked, iterations).amplitudes[marked]
+        theta = math.asin(math.sqrt(marked.size / total))
+        mass = np.sum(np.abs(amplitudes) ** 2)
+        assert abs(mass - search._hit_probability(theta, iterations)) < 1e-12, (
+            width, marked.size, iterations
+        )
+        assert np.all(amplitudes == amplitudes[0]), (width, marked.size, iterations)
         cases += 1
-    assert cases > 500 and draws == 64 * cases
+    assert cases == 546
 
 
 # ---------------------------------------------------------------------------
-# gate attempts
+# attempt budget
 # ---------------------------------------------------------------------------
 
 MAX_ATTEMPTS = search.MAX_ATTEMPTS
 
-# (table size, threshold, attempt budget) -> per seed 0..3 (found_index,
-# iterations_per_attempt, exhausted) of one gate round on the values
-# 0..size-1, as recorded with separate known-t and unknown-t attempt loops
-# and a circuit per attempt: the attempt loop must leave the RNG draws
-# unchanged
-GROVER_REPORTS = {
-    (16, 7.5, 64): [
-        (10, [0], False),
-        (8, [0], False),
-        (13, [0, 0], False),
-        (12, [0, 0], False),
-    ],
-    (64, 62.5, 64): [
-        (63, [0, 1, 0, 0, 2, 2, 2], False),
-        (63, [0, 1, 1], False),
-        (63, [0, 0, 0, 0, 1, 2, 0, 1, 2, 4], False),
-        (63, [0, 0, 0, 0, 0, 0, 0, 1, 1, 3], False),
-    ],
-    (16, 14.5, 3): [
-        (None, [0, 1, 0], True),
-        (15, [0, 1, 1], False),
-        (None, [0, 0, 0], True),
-        (None, [0, 0, 0], True),
-    ],
-}
-
-
-GROVER_CASES = [
-    (case, seed) for case in sorted(GROVER_REPORTS) for seed in range(len(GROVER_REPORTS[case]))
-]
-
-
-@pytest.mark.parametrize(
-    "case,seed",
-    GROVER_CASES,
-    ids=[f"size{c[0]}-above{c[1]}-budget{c[2]}-seed{seed}" for c, seed in GROVER_CASES],
-)
-def test_gate_attempts_reports_per_seed(case, seed):
-    size, threshold, budget = case
-    found, iterations, exhausted = GROVER_REPORTS[case][seed]
-    marked_mask = np.arange(float(size)) > threshold
-    width = int(math.log2(size))
-    caps = search._iteration_caps(size, budget)
-    report = search._attempts(marked_mask, np.flatnonzero(marked_mask), width, caps, RNG(seed))
-    assert report.found_index == found
-    assert report.success == (found is not None)
-    assert report.iterations_per_attempt == iterations
-    assert report.oracle_calls == sum(iterations)
-    assert report.verifications == len(iterations)
-    assert report.exhausted == exhausted
-
 
 @pytest.mark.parametrize("space_size", [4, 16, 64, 1024])
 def test_iteration_caps_grow_from_one_to_the_square_root(space_size):
-    caps = search._iteration_caps(space_size, MAX_ATTEMPTS)
+    caps = search._iteration_caps(space_size)
     assert len(caps) == MAX_ATTEMPTS
     assert caps[0] == 1
     assert all(a <= b for a, b in zip(caps, caps[1:]))
@@ -216,29 +160,10 @@ def test_iteration_caps_grow_from_one_to_the_square_root(space_size):
         bound = min(6.0 / 5.0 * bound, math.sqrt(space_size))
 
 
-def test_gate_k_maximal_raises_after_exactly_max_attempts(monkeypatch):
-    # every attempt measures an unmarked index; a round that ignores its
-    # budget fails the test instead of hanging
-    calls = []
-
-    def never_hit(width, marked_values, iterations, rng):
-        calls.append(iterations)
-        if len(calls) > MAX_ATTEMPTS:
-            pytest.fail(f"attempt {len(calls)} exceeds the budget of {MAX_ATTEMPTS}")
-        return int(np.setdiff1d(np.arange(1 << width), marked_values)[0])
-
-    monkeypatch.setattr(search, "_gate_attempt", never_hit)
-    table = make_table(RNG(7).permutation(16).astype(float), mode="gate")
-    with pytest.raises(SearchExhaustedError):
-        k_maximal_find(table, 3, RNG(8), mode="gate")
-    assert len(calls) == MAX_ATTEMPTS
-
-
 @pytest.fixture
 def missing_hits(monkeypatch):
-    """Give every attempt of the analytic k-maximal search a zero hit
-    probability; a round that ignores its budget fails the test instead of
-    hanging."""
+    """Give every attempt of the k-maximal search a zero hit probability;
+    a round that ignores its budget fails the test instead of hanging."""
     calls = []
 
     def never_hit(theta, iterations):
@@ -249,6 +174,13 @@ def missing_hits(monkeypatch):
 
     monkeypatch.setattr(search, "_hit_probability", never_hit)
     return calls
+
+
+def test_gate_k_maximal_raises_after_exactly_max_attempts(missing_hits):
+    table = make_table(RNG(7).permutation(16).astype(float), mode="gate")
+    with pytest.raises(SearchExhaustedError):
+        k_maximal_find(table, 3, RNG(8), mode="gate")
+    assert len(missing_hits) == MAX_ATTEMPTS
 
 
 def test_k_maximal_raises_on_an_exhausted_round(missing_hits):
@@ -310,6 +242,21 @@ def test_final_round_reports_absence_not_exhaustion(mode):
     assert all(run.success for run in report.rounds[:-1])
 
 
+@pytest.mark.parametrize("count", [5, 12, 100])
+def test_index_space_sets_the_absence_charge_and_the_iteration_caps(count):
+    # gate rounds search the register padded to S = 2^ceil(log2 M), analytic
+    # rounds S = M: S sets the ceil(3 sqrt(S)) charge of the last round and
+    # keeps every attempt's iteration count below ceil(sqrt(S))
+    values = RNG(count).permutation(1000)[:count].astype(float)
+    padded = 1 << math.ceil(math.log2(count))
+    for mode, space in (("analytic", count), ("gate", padded)):
+        for seed in range(5):
+            _, report = k_maximal_find(make_table(values, mode=mode), 2, RNG(seed), mode=mode)
+            assert report.rounds[-1].oracle_calls == math.ceil(3.0 * math.sqrt(space)), (mode, seed)
+            attempts = [l for run in report.rounds for l in run.iterations_per_attempt]
+            assert max(attempts, default=0) < math.ceil(math.sqrt(space)), (mode, seed)
+
+
 def test_analytic_k_maximal_breaks_ties_by_lower_index():
     # four rows tie at 3.0; the top 2 by (value, lower index) are rows 1, 2
     table = make_table(np.array([1.0, 3.0, 3.0, 3.0, 0.0, 3.0]))
@@ -329,54 +276,9 @@ def test_gate_k_maximal_keeps_any_tied_row():
     assert chosen == {1, 2, 3, 5}
 
 
-def _hadamard_layer(width: int) -> qsim.StateVector:
-    """The start state built gate by gate, as every attempt once did."""
-    return _gate_grover_state(1 << width, [], 0)
-
-
-@pytest.mark.parametrize("width", [1, 2, 4, 5])
-def test_start_state_equals_the_gate_by_gate_hadamard_layer(width):
-    state = search._start_state(width)
-    assert state is search._start_state(width)
-    assert np.array_equal(state.amplitudes, _hadamard_layer(width).amplitudes)
-    with pytest.raises(ValueError):
-        state.amplitudes[0] = 0.0
-
-
-def test_start_state_unchanged_by_a_gate_search():
-    before = search._start_state(4).amplitudes.copy()
-    table = make_table(RNG(41).permutation(16).astype(float), mode="gate")
-    k_maximal_find(table, 3, RNG(42), mode="gate")
-    assert np.array_equal(search._start_state(4).amplitudes, before)
-
-
-@pytest.mark.parametrize("width", [1, 2, 4, 5])
-def test_start_cdf_equals_that_of_the_gate_by_gate_hadamard_layer(width):
-    cdf = search._start_cdf(width)
-    assert cdf is search._start_cdf(width)
-    assert np.array_equal(cdf, qsim.outcome_cdf(_hadamard_layer(width), (0, width)))
-    with pytest.raises(ValueError):
-        cdf[0] = 0.0
-
-
-def test_start_cdf_unchanged_by_a_gate_search():
-    before = search._start_cdf(4).copy()
-    table = make_table(RNG(43).permutation(16).astype(float), mode="gate")
-    k_maximal_find(table, 3, RNG(44), mode="gate")
-    assert np.array_equal(search._start_cdf(4), before)
-
-
-def _choice_measured_attempt(width, marked_values, iterations, rng):
-    """Reference gate attempt: the start state built gate by gate and the
-    index register measured by ``rng.choice`` on the Born probabilities."""
-    total = 1 << width
-    probs = np.abs(_gate_grover_state(total, marked_values, iterations).amplitudes) ** 2
-    return int(rng.choice(total, p=probs / probs.sum()))
-
-
-def test_gate_search_with_the_shared_start_state_repeats_every_run(monkeypatch):
-    # 40 gate runs over 8..32 rows with tied values: the same selections,
-    # reports and final generator states as with the reference attempt
+def test_gate_search_with_the_shared_start_state_repeats_every_run():
+    # 40 gate runs over 8..32 rows with tied values: the same seed gives the
+    # same selections, reports and final generator states
     rng = RNG(2468)
     cases = []
     for seed in range(40):
@@ -392,9 +294,7 @@ def test_gate_search_with_the_shared_start_state_repeats_every_run(monkeypatch):
             runs.append((neighbors.selected, report, gen.bit_generator.state))
         return runs
 
-    shared = run_all()
-    monkeypatch.setattr(search, "_gate_attempt", _choice_measured_attempt)
-    assert run_all() == shared
+    assert run_all() == run_all()
 
 
 def test_k_maximal_partition_invariant():
@@ -474,29 +374,48 @@ def _rank_round(total, marked, caps, uniforms):
     return report, None
 
 
-def _reference_rank_search(values, start, rng, report):
-    """The analytic rounds as one ``_rank_round`` call each, drawing from a
-    uniform stream: the form the fused loop must reproduce."""
+def _reference_rank_search(values, start, rng, report, mode):
+    """The rounds as one ``_rank_round`` call each, drawing from a uniform
+    stream, with each round's marked rows listed from a mask: the form the
+    fused loop must reproduce. Analytic rounds mark the unselected rows
+    ranked above the weakest selected rank, on M items, and swap that rank
+    out. Gate rounds mark the unselected rows of larger value than the
+    weakest selected value, on the index space padded to a power of two,
+    and swap out the lowest row index holding that value. Either way a hit
+    is the marked row at the drawn position, best first."""
     count, k = values.size, start.size
     order = search._best_first(values)
+    ranked = values[order]
     rank_of = np.empty(count, dtype=np.intp)
     rank_of[order] = np.arange(count)
-    ranks = sorted(rank_of[start].tolist())
-    caps = search._iteration_caps(count, search.MAX_ATTEMPTS)
+    selected = np.zeros(count, dtype=bool)  # by rank
+    selected[rank_of[start]] = True
+    space = count if mode == "analytic" else 1 << max(1, math.ceil(math.log2(count)))
+    caps = search._iteration_caps(space)
     uniforms = _uniforms(rng)
     for _ in range(count - k + 1):
-        run, position = _rank_round(count, ranks[-1] - (k - 1), caps, uniforms)
-        search._add_round(report, run)
+        chosen = np.flatnonzero(selected)
+        if mode == "analytic":
+            weakest = chosen[-1]
+            marked = np.flatnonzero(~selected[:weakest])
+        else:
+            lowest = ranked[chosen].min()
+            weakest = rank_of[order[chosen][ranked[chosen] == lowest].min()]
+            marked = np.flatnonzero(~selected & (ranked > lowest))
+        run, position = _rank_round(space, marked.size, caps, uniforms)
+        report.rounds.append(run)
+        report.oracle_calls += run.oracle_calls
+        report.verifications += run.verifications
+        if run.exhausted:
+            raise SearchExhaustedError(
+                f"round {len(report.rounds)}: no hit in {len(run.iterations_per_attempt)} attempts"
+            )
         if position is None:
-            return order[ranks].tolist()
-        found = position
-        for rank in ranks:
-            if rank > found:
-                break
-            found += 1
+            return order[chosen].tolist()
+        found = marked[position]
         run.found_index = int(order[found])
-        ranks.pop()
-        bisect.insort(ranks, found)
+        selected[weakest] = False
+        selected[found] = True
         report.replacements += 1
     raise RuntimeError("no convergence")
 
@@ -516,33 +435,35 @@ def _rank_search_cases(count):
         yield values, int(rng.integers(1, min(size, 16))), case
 
 
-def _run_rank_search(search_fn, values, k, seed):
+def _run_rank_search(search_fn, values, k, seed, mode):
     rng = RNG(seed)
     start = rng.choice(values.size, size=k, replace=False)
     report = search.KMaximalReport()
     try:
-        selected = search_fn(values, start, rng, report)
+        selected = search_fn(values, start, rng, report, mode)
     except SearchExhaustedError as exc:
         selected = str(exc)
     return selected, report, rng.bit_generator.state
 
 
-def test_fused_rank_search_equals_the_round_by_round_reference():
+@pytest.mark.parametrize("mode", ["analytic", "gate"])
+def test_fused_rank_search_equals_the_round_by_round_reference(mode):
     # 3000 searches: the same selections, per-round reports and final
     # generator states as the reference
     cases = 0
     for values, k, seed in _rank_search_cases(3000):
-        fused = _run_rank_search(search._rank_search, values, k, seed)
-        assert fused == _run_rank_search(_reference_rank_search, values, k, seed), seed
+        fused = _run_rank_search(search._rank_search, values, k, seed, mode)
+        assert fused == _run_rank_search(_reference_rank_search, values, k, seed, mode), seed
         cases += 1
     assert cases == 3000
 
 
-def test_fused_rank_search_exhausts_as_the_reference_does(monkeypatch):
+@pytest.mark.parametrize("mode", ["analytic", "gate"])
+def test_fused_rank_search_exhausts_as_the_reference_does(monkeypatch, mode):
     monkeypatch.setattr(search, "_hit_probability", lambda theta, iterations: 0.0)
     for values, k, seed in _rank_search_cases(20):
-        fused = _run_rank_search(search._rank_search, values, k, seed)
-        assert fused == _run_rank_search(_reference_rank_search, values, k, seed), seed
+        fused = _run_rank_search(search._rank_search, values, k, seed, mode)
+        assert fused == _run_rank_search(_reference_rank_search, values, k, seed, mode), seed
         selected, report, _ = fused
         assert len(report.rounds) == 1
         assert isinstance(selected, str) == report.rounds[0].exhausted
@@ -565,3 +486,70 @@ def test_analytic_round_counters_match_gate_mode_statistically():
     for a, g in zip(samples["analytic"], samples["gate"]):
         stderr = math.sqrt(a.var(ddof=1) / a.size + g.var(ddof=1) / g.size)
         assert abs(a.mean() - g.mean()) < 4.0 * stderr
+
+
+def _circuit_gate_search(values, k, rng, states):
+    """Gate-mode k-maximal search measured on the circuit: each attempt
+    draws its iteration count with ``rng.integers`` and measures the index
+    register of ``_gate_grover_state``, padded to a power of two; the
+    weakest row is the lowest index holding the minimum. ``states`` caches
+    the circuit states by (marked rows, iterations)."""
+    count = values.size
+    width = max(1, math.ceil(math.log2(count)))
+    caps = search._iteration_caps(1 << width)
+    selected = np.zeros(count, dtype=bool)
+    selected[rng.choice(count, size=k, replace=False)] = True
+    report = search.KMaximalReport()
+    for _ in range(count - k + 1):
+        chosen = np.flatnonzero(selected)
+        weakest = chosen[np.argmin(values[chosen])]
+        marked = np.flatnonzero((values > values[weakest]) & ~selected)
+        if marked.size == 0:
+            run = search._absence_report(1 << width)
+            report.oracle_calls += run.oracle_calls
+            report.verifications += run.verifications
+            return tuple(chosen.tolist()), report
+        for cap in caps:
+            iterations = int(rng.integers(0, cap))
+            report.oracle_calls += iterations
+            report.verifications += 1
+            key = (tuple(marked.tolist()), iterations)
+            if key not in states:
+                states[key] = _gate_grover_state(1 << width, marked, iterations)
+            found = qsim.measure(states[key], (0, width), rng).bits
+            if found in marked:
+                break
+        else:
+            raise SearchExhaustedError("no hit")
+        selected[weakest] = False
+        selected[found] = True
+        report.replacements += 1
+    raise RuntimeError("no convergence")
+
+
+@pytest.mark.parametrize("count,k", [(5, 3), (12, 4), (16, 5)])
+def test_gate_search_equals_the_circuit_measured_search_in_distribution(count, k):
+    # register values tie in threes, and the k-th best value is held by
+    # three rows of which the search keeps any one; 2000 seeded searches
+    # each way: the mean oracle calls, verifications and replacements, and
+    # the frequency of every final set, agree within four standard errors
+    values = RNG(count).permutation(np.arange(count) // 3).astype(float)
+    table = make_table(values, mode="gate")
+    runs, states = 2000, {}
+    samples = {"closed form": [], "circuit": []}
+    for seed in range(runs):
+        neighbors, report = k_maximal_find(table, k, RNG(seed), mode="gate")
+        samples["closed form"].append((tuple(neighbors.selected), report))
+        samples["circuit"].append(_circuit_gate_search(values, k, RNG(runs + seed), states))
+    for counter in ("oracle_calls", "verifications", "replacements"):
+        a, b = (
+            np.array([getattr(report, counter) for _, report in samples[side]], float)
+            for side in samples
+        )
+        stderr = math.sqrt(a.var(ddof=1) / runs + b.var(ddof=1) / runs)
+        assert abs(a.mean() - b.mean()) < 4.0 * stderr, counter
+    finals = {side: [final for final, _ in samples[side]] for side in samples}
+    for final in set(finals["closed form"]) | set(finals["circuit"]):
+        p, q = (finals[side].count(final) / runs for side in finals)
+        stderr = math.sqrt((p * (1 - p) + q * (1 - q)) / runs)
+        assert abs(p - q) <= 4.0 * stderr, final

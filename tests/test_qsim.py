@@ -269,8 +269,6 @@ def test_measurement_rejects_non_finite_state(bad):
     broken = qsim.StateVector(3, amps)
     with pytest.raises(qsim.StateCorruptionError):
         qsim.measure(broken, (1, 2), RNG(0))
-    with pytest.raises(qsim.StateCorruptionError):
-        qsim.outcome_cdf(broken, (1, 2))
 
 
 def _choice_probabilities(state: qsim.StateVector, span) -> np.ndarray:
@@ -302,11 +300,9 @@ def test_cdf_draw_repeats_rng_choice_on_random_distributions():
         amps = magnitudes * np.exp(2j * np.pi * draws.uniform(size=dim))
         state = qsim.StateVector(n_qubits, amps / np.linalg.norm(amps))
         p = _choice_probabilities(state, span)
-        reference, drawn, measured = RNG(case), RNG(case), RNG(case)
+        reference, measured = RNG(case), RNG(case)
         expected = int(reference.choice(p.size, p=p))
-        assert qsim.draw_outcome(qsim.outcome_cdf(state, span), drawn) == expected, case
         assert qsim.measure(state, span, measured).bits == expected, case
-        assert drawn.bit_generator.state == reference.bit_generator.state, case
         assert measured.bit_generator.state == reference.bit_generator.state, case
 
 

@@ -107,7 +107,8 @@ def test_spectrum_matches_covariance_oracle(vm, loss_db, n):
 
 
 def test_last_eigenvalue_is_exactly_one():
-    spectrum = secrate.symplectic_spectrum(make_inputs())
+    inputs = make_inputs()
+    spectrum = secrate.symplectic_spectrum(inputs, *secrate.correlation_term(inputs))
     assert spectrum.eigenvalues[4] == 1.0
     # the covariance model produces the unit eigenvalue too
     inputs = make_inputs(vm=0.7, loss_db=6.0)
