@@ -80,12 +80,15 @@ def _vote(neighbor_labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.n
 
 def majority_vote(labels) -> int:
     """Modal 1-based label; ties resolve to the lowest label value."""
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("majority vote over no labels")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {labels}")
     if labels.min() < 1:
         raise ValueError("labels must be 1-based")
-    return int(_vote(labels[None, :], int(labels.max()))[0][0])
+    # label 0 counts nothing, so argmax is the lowest label of the top count
+    return int(np.bincount(labels.astype(int)).argmax())
 
 
 @dataclass(frozen=True)
@@ -159,10 +162,11 @@ def qknn_predict(
     table = compute_similarity_table(train, query, mode=mode, delta=delta)
     neighbors, report = k_maximal_find(table, k, rng, mode=mode)
     chosen = np.asarray(neighbors.selected, dtype=int)
-    labels, scores = _vote(train.labels[chosen][None, :], train.n_classes)
+    # one query's vote, ties to the lowest label: label 0 counts nothing
+    counts = np.bincount(train.labels[chosen], minlength=train.n_classes + 1)
     return QknnPrediction(
-        label=int(labels[0]),
-        scores=scores[0],
+        label=int(counts.argmax()),
+        scores=counts[1:] / k,
         neighbor_indices=chosen,
         table=table,
         search_report=report,

@@ -42,7 +42,7 @@ def _check_unit_range(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise EncodingError("empty feature vector")
-    if not (np.min(values) >= 0.0 and np.max(values) <= 1.0):  # NaN fails too
+    if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails too
         raise EncodingError("feature values must lie in [0, 1]")
     return values
 
@@ -197,6 +197,10 @@ def fidelity_to_rows(rows: TrainingSet | np.ndarray, query: np.ndarray) -> np.nd
         rows = _check_unit_range(np.atleast_2d(rows))
         complement = None
     query = _check_unit_range(np.asarray(query, float))
+    if query.shape[-1:] != rows.shape[1:]:
+        raise EncodingError(
+            f"query of shape {query.shape} does not match rows of shape {rows.shape}"
+        )
     if query.ndim == 1:
         # bare rows free sqrt(1-v^2) before the next product: holding it on
         # every query fragments the heap under many live similarity tables

@@ -121,7 +121,10 @@ class KMaximalReport:
 
 def _best_first(values: np.ndarray) -> np.ndarray:
     """``np.argsort(-values, kind="stable")``: the faster default sort gives
-    the same order unless two values tie, so only ties pay for the stable one."""
+    the same order unless two values tie, so only ties pay for the stable one.
+    Integer values (gate registers) tie by design and go straight to it."""
+    if values.dtype.kind in "iu":
+        return np.argsort(-values, kind="stable")
     order = np.argsort(-values)
     ranked = values[order]
     if np.any(ranked[1:] == ranked[:-1]):

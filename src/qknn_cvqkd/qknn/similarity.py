@@ -11,7 +11,10 @@ similarity, whose rounding can merge fidelities an ulp apart, and the
 register value are still reported, derived when first read; see
 ``SimilarityTable``). ``gate`` amplitude-estimates P(0) to
 error delta and ranks on the integer register contents, as the search
-hardware would.
+hardware would. A gate table keeps each row's folded modal outcome sigma
+(below) on the grid G; its estimate and its register value depend on
+sigma, G and the row count M alone, so both are read by sigma from tables
+built once per grid and once per (G, M).
 
 Amplitude estimation phase-estimates the amplification operator, a rotation
 by 2*theta (a = sin^2 theta), on a counting register of grid G = 2^m. Its
@@ -28,6 +31,15 @@ sin^2(pi sigma/G) at the modal outcome, deterministic and inside the error
 bound. P is symmetric under sigma -> G - sigma, and which mirror outcome
 ``argmax`` meets first turns on rounding, so the mode is folded to
 min(sigma, G - sigma) to make the register value independent of it.
+
+The register value of a folded outcome is
+min(floor((M/pi) asin sqrt(sin^2(pi sigma/G))), M - 1). Its per-(G, M)
+table applies that ufunc chain to the per-grid estimates, elementwise, so
+every entry has the bits of the formula on a gathered estimate, as the
+tests check for every sigma at G = 2 .. 4096. The closer-looking
+floor(M sigma/G) is not the same map: rounding in the arcsine moves 391 of
+the 32,856 entries of G = 2 .. 4096 and M in {1, 2, 3, 5, 16, 17, 300,
+2048}.
 
 The mode is searched only over a window around the two peaks: with
 c = floor(G theta/pi), the outcomes c-2 .. c+3 and their mirrors
@@ -87,30 +99,36 @@ class AmplitudeEstimate:
 
 def _fejer(x: np.ndarray, grid: int) -> np.ndarray:
     """F(x) = sin^2(pi G x) / (G sin(pi x))^2, with F = 1 where sin(pi x) = 0."""
-    x = x - np.round(x)  # F has period 1; sin(pi x) vanishes only at x = 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kernel = (np.sin(np.pi * grid * x) / (grid * np.sin(np.pi * x))) ** 2
-    return np.where(x == 0.0, 1.0, kernel)
+    x = x - np.rint(x)  # F has period 1; sin(pi x) vanishes only at x = 0
+    kernel = np.ones_like(x)
+    np.divide(np.sin(np.pi * grid * x), grid * np.sin(np.pi * x), out=kernel, where=x != 0.0)
+    return np.square(kernel, out=kernel)
 
 
-_WINDOW = np.arange(-2, 4)  # outcomes c-2 .. c+3 around c = floor(G theta/pi)
+# outcomes c-2 .. c+3 around c = floor(G theta/pi) and their mirrors -(c-2) .. -(c+3)
+_WINDOW = np.arange(-2, 4)
+_WINDOW_SIGNS = np.repeat([1, -1], _WINDOW.size)
+_WINDOW_OFFSETS = np.concatenate([_WINDOW, -_WINDOW])
+_PHASE_SIGNS = np.array([1.0, -1.0])  # x - phase and x + phase, one kernel per eigenphase
 
 
 def _mixture(outcomes: np.ndarray, phase, grid: int) -> np.ndarray:
     """P(sigma) at the integer ``outcomes`` for the eigenphase(s) ``phase``."""
     x = outcomes / grid
-    kernels = _fejer(np.stack([x - phase, x + phase]), grid)  # elementwise: two calls' bits
+    # both kernels in one call, on a leading axis of length 2: elementwise, two calls' bits
+    signs = _PHASE_SIGNS.reshape((2,) + (1,) * max(np.ndim(x), np.ndim(phase)))
+    kernels = _fejer(x - signs * phase, grid)
     return 0.5 * (kernels[0] + kernels[1])
 
 
 def _folded_modes(phase: np.ndarray, grid: int) -> np.ndarray:
     """Folded modal outcome of each phase, searched over the window around
     both peaks (module docstring)."""
-    window = np.floor(grid * phase).astype(np.int64)[:, None] + _WINDOW
-    window = np.concatenate([window, -window], axis=1) % grid
+    peak = np.floor(grid * phase).astype(np.int64)
+    window = (peak[:, None] * _WINDOW_SIGNS + _WINDOW_OFFSETS) % grid
     window.sort(axis=1)
     best = np.argmax(_mixture(window, phase[:, None], grid), axis=1)
-    modes = np.take_along_axis(window, best[:, None], axis=1)[:, 0]
+    modes = window[np.arange(window.shape[0]), best]
     return np.minimum(modes, grid - modes)
 
 
@@ -124,13 +142,35 @@ def _grid_estimates(grid: int) -> np.ndarray:
     return estimates
 
 
+def _continuous_similarity(p_zero: np.ndarray, size: int) -> np.ndarray:
+    """(M/pi) arcsin(sqrt(P(0))), P(0) clipped to [0, 1]."""
+    return (size / math.pi) * np.arcsin(np.sqrt(np.clip(p_zero, 0.0, 1.0)))
+
+
+def _register_values(continuous: np.ndarray, size: int) -> np.ndarray:
+    """floor of the continuous similarity, capped at M - 1."""
+    return np.minimum(np.floor(continuous).astype(int), size - 1)
+
+
+@lru_cache(maxsize=64)
+def _grid_registers(grid: int, size: int) -> np.ndarray:
+    """The register value of every folded outcome sigma = 0 .. G/2 for M =
+    ``size`` rows: the ufunc chain of an eager register column applied to
+    ``_grid_estimates(grid)``, elementwise, so a gathered entry has the
+    bits of the formula on the gathered estimate. Built once per (G, M) and
+    read-only."""
+    registers = _register_values(_continuous_similarity(_grid_estimates(grid), size), size)
+    registers.flags.writeable = False
+    return registers
+
+
 def _estimate_amplitudes(amplitudes, iterations: int):
     """Modal estimates of every amplitude: (estimates, folded modes, grid,
     theta/pi of every amplitude)."""
     amplitudes = np.asarray(amplitudes, dtype=float)
     # P(0) of a query equal to a row can read a few ulps above 1: clip rounding, reject the rest
-    in_range = (amplitudes >= -1e-12) & (amplitudes <= 1.0 + 1e-12)
-    if not np.all(in_range):
+    if not (amplitudes.min() >= -1e-12 and amplitudes.max() <= 1.0 + 1e-12):
+        in_range = (amplitudes >= -1e-12) & (amplitudes <= 1.0 + 1e-12)  # NaN fails too
         raise ValueError(f"amplitudes must lie in [0, 1], got {amplitudes[~in_range]}")
     if iterations < 1:
         raise ValueError("need at least one operator iteration")
@@ -156,26 +196,36 @@ def amplitude_estimate(amplitude: float, iterations: int) -> AmplitudeEstimate:
 
 
 @dataclass(frozen=True)
+class GateReadout:
+    """Each row's folded modal outcome sigma on the counting grid G."""
+
+    outcomes: np.ndarray
+    grid_size: int
+
+
+@dataclass(frozen=True)
 class SimilarityTable:
     """Per-training-row similarity record bridging the quantum and classical
     stages. ``ranking_value`` is what the k-maximal search compares:
     the fidelity in analytic mode, the integer register value in gate
     mode.
 
-    A table holds the fidelities and, in gate mode, the amplitude-estimated
-    P(0) (``gate_estimates``). The other columns are derived from them on
-    first access and then kept: ``ideal_p_zero`` = (1 + fidelity) / 2;
-    ``estimated_p_zero``, which is ``ideal_p_zero`` itself in analytic mode;
-    ``sim_continuous`` = (M/pi) arcsin(sqrt(estimated P(0))), and
-    ``sim_register``, its floor capped at M - 1. Analytic ranking reads the
-    fidelity alone, so an analytic query computes none of them unless a
-    caller asks; a gate table derives them when the search first ranks on
-    ``sim_register``.
+    A table holds the fidelities and, in gate mode, each row's folded modal
+    outcome sigma on the counting grid G (``readout``). The other columns are derived on first access and then kept:
+    ``ideal_p_zero`` = (1 + fidelity) / 2; ``estimated_p_zero``, which is
+    ``ideal_p_zero`` itself in analytic mode and sin^2(pi sigma/G) in gate
+    mode; ``sim_continuous`` = (M/pi) arcsin(sqrt(estimated P(0))), and
+    ``sim_register``, its floor capped at M - 1. A gate table reads its
+    estimates and its registers by sigma from tables built once per grid
+    and once per (G, M), so a gate query evaluates neither formula; the
+    analytic register keeps the formula, since its input is continuous.
+    Analytic ranking reads the fidelity alone, so an analytic query
+    computes none of the derived columns unless a caller asks.
     """
 
     fidelity: np.ndarray
     mode: str
-    gate_estimates: np.ndarray | None = field(default=None, repr=False)
+    readout: GateReadout | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -189,18 +239,21 @@ class SimilarityTable:
     def ideal_p_zero(self) -> np.ndarray:
         return swap_test_probability(self.fidelity)
 
-    @property
+    @cached_property
     def estimated_p_zero(self) -> np.ndarray:
-        return self.ideal_p_zero if self.gate_estimates is None else self.gate_estimates
+        if self.readout is None:
+            return self.ideal_p_zero
+        return _grid_estimates(self.readout.grid_size)[self.readout.outcomes]
 
     @cached_property
     def sim_continuous(self) -> np.ndarray:
-        estimated = np.clip(self.estimated_p_zero, 0.0, 1.0)
-        return (self.size / math.pi) * np.arcsin(np.sqrt(estimated))
+        return _continuous_similarity(self.estimated_p_zero, self.size)
 
     @cached_property
     def sim_register(self) -> np.ndarray:
-        return np.minimum(np.floor(self.sim_continuous).astype(int), self.size - 1)
+        if self.readout is None:
+            return _register_values(self.sim_continuous, self.size)
+        return _grid_registers(self.readout.grid_size, self.size)[self.readout.outcomes]
 
     @property
     def ranking_value(self) -> np.ndarray:
@@ -230,5 +283,5 @@ def compute_similarity_table(
     fidelity = fidelity_to_rows(train, query)
     if mode == "analytic":
         return SimilarityTable(fidelity=fidelity, mode=mode)
-    estimates = _estimate_amplitudes(swap_test_probability(fidelity), iterations)[0]
-    return SimilarityTable(fidelity=fidelity, mode=mode, gate_estimates=estimates)
+    _, outcomes, grid, _ = _estimate_amplitudes(swap_test_probability(fidelity), iterations)
+    return SimilarityTable(fidelity=fidelity, mode=mode, readout=GateReadout(outcomes, grid))

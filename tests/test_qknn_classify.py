@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from qknn_cvqkd.qknn import (
+    EncodingError,
     FeatureScaler,
     TrainingSet,
     classical_knn_predict,
@@ -77,6 +78,20 @@ def test_majority_vote_rejects_empty():
 def test_majority_vote_rejects_labels_below_one(labels):
     with pytest.raises(ValueError, match="labels must be 1-based"):
         majority_vote(labels)
+
+
+@pytest.mark.parametrize(
+    "labels", [[1.7, 2.2], [1, 2.5], np.array([2.0, np.nan]), [np.inf], [2.0, 1.0], [True]]
+)
+def test_majority_vote_rejects_labels_that_are_not_integers(labels):
+    with pytest.raises(ValueError, match="labels must be integers"):
+        majority_vote(labels)
+
+
+def test_majority_vote_takes_integer_lists_and_arrays():
+    assert majority_vote([3, 1, 3]) == 3
+    assert majority_vote(np.array([2, 4, 4, 2], dtype=np.int32)) == 2
+    assert majority_vote(np.array([2, 3, 3], dtype=np.uint64)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +311,25 @@ def test_k_equals_m_is_plain_majority():
     train = random_training_set(7, size=12, dim=3, n_classes=3)
     pred = qknn_predict(train, RNG(8).uniform(size=3), k=12, rng=RNG(9))
     assert pred.label == majority_vote(train.labels.tolist())
+
+
+@pytest.mark.parametrize("mode", ["analytic", "gate"])
+def test_qknn_predict_rejects_a_query_of_another_length(mode):
+    train = random_training_set(12, size=8, dim=3, n_classes=2)
+    with pytest.raises(EncodingError, match=r"\(4,\).*\(8, 3\)"):
+        qknn_predict(train, np.full(4, 0.5), k=3, rng=RNG(0), mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "gate"])
+def test_qknn_predict_vote_equals_the_batched_vote(mode):
+    for seed in range(20):
+        train = random_training_set(seed, size=12, dim=3, n_classes=4)
+        query = RNG(seed + 100).uniform(size=3)
+        for k in (1, 2, 4, 12):
+            pred = qknn_predict(train, query, k, RNG(seed), mode=mode)
+            labels, scores = classify._vote(train.labels[pred.neighbor_indices][None, :], 4)
+            assert pred.label == labels[0] == majority_vote(train.labels[pred.neighbor_indices])
+            assert pred.scores.tobytes() == scores[0].tobytes()
 
 
 def test_gate_mode_pipeline_runs_and_matches_on_clean_data():

@@ -21,7 +21,7 @@ def make_table(values: np.ndarray, mode: str = "analytic") -> SimilarityTable:
     values = np.asarray(values, dtype=float)
     if mode == "analytic":
         return SimilarityTable(fidelity=values, mode="analytic")
-    table = SimilarityTable(fidelity=values, mode="gate", gate_estimates=values)
+    table = SimilarityTable(fidelity=values, mode="gate")
     vars(table)["sim_register"] = values.astype(int)
     return table
 
@@ -345,6 +345,14 @@ def test_best_first_order_equals_stable_argsort(case):
         values[34], values[101] = -0.0, 0.0
     order = search._best_first(values)
     assert np.array_equal(order, np.argsort(-values, kind="stable"))
+
+
+def test_best_first_order_of_integer_registers_equals_stable_argsort():
+    # register values tie by design and take the stable sort directly
+    for size, levels in ((16, 5), (300, 40), (2048, 2)):
+        values = RNG(size).integers(0, levels, size=size)
+        order = search._best_first(values)
+        assert np.array_equal(order, np.argsort(-values, kind="stable"))
 
 
 def _uniforms(rng):

@@ -119,6 +119,11 @@ def test_amplitude_rounding_clipped_but_larger_excess_rejected():
             amplitude_estimate(a, 131)
 
 
+def test_out_of_range_amplitudes_are_listed_in_the_error():
+    with pytest.raises(ValueError, match=r"got \[ 1\.5  nan -0\.1\]$"):
+        similarity._estimate_amplitudes([0.5, 1.5, np.nan, 0.2, -0.1, 1.0], 131)
+
+
 def test_estimate_exact_at_zero_and_one():
     assert amplitude_estimate(0.0, 131).estimate == 0.0
     assert amplitude_estimate(1.0, 131).estimate == pytest.approx(1.0, abs=1e-12)
@@ -250,6 +255,44 @@ def test_fused_kernels_and_cached_estimate_table_equal_the_unfused_formulas(grid
         table[0] = 1.0
 
 
+def reference_fejer(x: np.ndarray, grid: int) -> np.ndarray:
+    """The Fejer kernel written out: sin^2(pi G x) / (G sin(pi x))^2 after
+    reducing x to [-1/2, 1/2], and 1 where x reduces to 0."""
+    x = x - np.round(x)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        kernel = (np.sin(np.pi * grid * x) / (grid * np.sin(np.pi * x))) ** 2
+    return np.where(x == 0.0, 1.0, kernel)
+
+
+@pytest.mark.parametrize("grid", [1 << m for m in range(1, 13)])
+def test_amplitude_estimate_returns_the_whole_two_kernel_distribution(grid):
+    x = np.arange(grid) / grid
+    amplitudes = [0.0, 1.0, 0.5, math.sin(math.pi / grid) ** 2, *RNG(grid).uniform(size=4)]
+    for a in amplitudes:
+        distribution = amplitude_estimate(a, grid).distribution
+        assert distribution.shape == (grid,), a
+        assert abs(distribution.sum() - 1.0) <= 1e-12, a
+        phase = similarity._estimate_amplitudes([a], grid)[3][0]  # theta/pi, as estimated
+        expected = 0.5 * (reference_fejer(x - phase, grid) + reference_fejer(x + phase, grid))
+        assert distribution.tobytes() == expected.tobytes(), a
+
+
+@pytest.mark.parametrize("grid", [1 << m for m in range(1, 13)])
+def test_register_table_equals_the_eager_formula_on_gathered_outcomes(grid):
+    outcomes = np.arange(grid // 2 + 1)
+    gathered = np.concatenate([outcomes, RNG(grid).permutation(outcomes), outcomes[::-1]])
+    estimates = similarity._grid_estimates(grid)[gathered]
+    for size in (1, 2, 3, 5, 16, 17, 300, 2048):
+        continuous = (size / math.pi) * np.arcsin(np.sqrt(np.clip(estimates, 0.0, 1.0)))
+        eager = np.minimum(np.floor(continuous).astype(int), size - 1)
+        table = similarity._grid_registers(grid, size)
+        assert table is similarity._grid_registers(grid, size)
+        column = table[gathered]
+        assert column.dtype == eager.dtype and column.tobytes() == eager.tobytes(), size
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
 def test_gate_table_of_2048_rows_at_delta_001_equals_full_grid_reference():
     rng = RNG(21)
     rows = rng.uniform(size=(2048, 4))
@@ -287,7 +330,7 @@ def test_derived_columns_equal_the_eager_formulas(mode):
         train = TrainingSet(features, np.ones(size, int), 1, None)
         for query in (rng.uniform(size=dim), features[0], np.zeros(dim), np.ones(dim)):
             table = compute_similarity_table(train, query, mode=mode, delta=0.05)
-            assert set(vars(table)) == {"fidelity", "mode", "gate_estimates"}
+            assert set(vars(table)) == {"fidelity", "mode", "readout"}
             fidelity = fidelity_to_rows(features, query)
             ideal = (1.0 + fidelity) / 2.0
             if mode == "analytic":
@@ -329,6 +372,16 @@ def test_table_rejects_a_batch_of_queries(mode):
     rows = RNG(6).uniform(size=(8, 3))
     with pytest.raises(EncodingError, match="single feature vector"):
         compute_similarity_table(rows, rows[:2], mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "gate"])
+@pytest.mark.parametrize("bare_rows", [False, True])
+def test_table_rejects_a_query_of_another_length(mode, bare_rows):
+    features = RNG(6).uniform(size=(8, 3))
+    rows = features if bare_rows else TrainingSet(features, np.ones(8, int), 1, None)
+    for query in (np.full(2, 0.5), np.full(4, 0.5)):
+        with pytest.raises(EncodingError, match=rf"\({query.size},\).*\(8, 3\)"):
+            compute_similarity_table(rows, query, mode=mode)
 
 
 def test_analytic_similarity_monotone_in_fidelity():
