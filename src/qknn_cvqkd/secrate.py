@@ -20,10 +20,22 @@ constellation's penalty is what caps the conventional key rate at large
 modulation variance. The symplectic closed forms keep their transmittance
 factors explicit, so they consume z_cm^2 = Z^2/T internally; both
 conventions coincide at T = 1.
+
+For an N-PSK ring, <n|alpha_k> = c_n omega^{kn} with omega = e^{2 pi i/N}
+and c_n the Fock amplitudes of |alpha|, so tau is block-diagonal in n mod N
+and each block is rank one: tau = sum_r |u_r><u_r| with (u_r)_n = c_n for
+n = r mod N, and eigenvalue lambda_r = |u_r|^2 (Papanastasiou et al., PRA 98,
+012340 (2018); Denys, Brown and Leverrier, Quantum 5, 540 (2021)).
+``build_tau`` writes tau^{1/2} and tau^{-1/2} from that structure without an
+eigendecomposition, so the module makes no LAPACK call. The trace and w stay
+Fock-space matrix expressions rather than O(N) scalars: the operators are
+what the traced benchmark composes (``build_tau`` then ``correlation_term``),
+and that composition must give exactly the rate of ``key_rate``.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +44,7 @@ from .optics import Constellation
 
 FOCK_TAIL_TOLERANCE = 1e-12
 MIN_FOCK_CUTOFF = 16
+MAX_FOCK_CUTOFF = 512
 EIGENVALUE_FLOOR = 1e-12
 
 
@@ -69,6 +82,10 @@ class KeyRateInputs:
             raise KeyRateDomainError("PSK order must be at least 1")
         if not 0.0 <= self.classifier_auc <= 1.0:
             raise KeyRateDomainError("classifier AUC must lie in [0, 1]")
+        if self.fock_cutoff is not None and not (
+            isinstance(self.fock_cutoff, numbers.Integral) and self.fock_cutoff >= 1
+        ):
+            raise KeyRateDomainError("Fock cutoff must be None or an integer of at least 1")
 
     @property
     def ensemble_variance(self) -> float:
@@ -121,14 +138,23 @@ def mutual_information(inputs: KeyRateInputs) -> float:
 
 def choose_fock_cutoff(amplitude: float) -> int:
     """Smallest dimension keeping the coherent-state tail mass below 1e-12
-    (never less than 16)."""
+    (never less than 16, never more than 512)."""
     mean = amplitude * amplitude
-    cutoff = MIN_FOCK_CUTOFF
-    while coherent_tail_mass(mean, cutoff) > FOCK_TAIL_TOLERANCE:
-        cutoff += 4
-        if cutoff > 512:
-            raise KeyRateDomainError(f"no workable Fock cutoff for |alpha|^2 = {mean}")
-    return cutoff
+    for cutoff, tail in candidate_tail_masses(mean):
+        if tail <= FOCK_TAIL_TOLERANCE:
+            return cutoff
+    raise KeyRateDomainError(f"no workable Fock cutoff for |alpha|^2 = {mean}")
+
+
+def candidate_tail_masses(mean_photons: float):
+    """(cutoff, ``coherent_tail_mass(mean_photons, cutoff)``) for cutoff =
+    16, 20, ..., 512, from one walk of the Poisson series."""
+    term = total = math.exp(-mean_photons)
+    for n in range(1, MAX_FOCK_CUTOFF):
+        term *= mean_photons / n
+        total += term
+        if n + 1 >= MIN_FOCK_CUTOFF and (n + 1) % 4 == 0:
+            yield n + 1, max(0.0, 1.0 - total)
 
 
 def coherent_tail_mass(mean_photons: float, cutoff: int) -> float:
@@ -184,41 +210,53 @@ class FockOperatorSet:
 
 
 def build_tau(constellation: Constellation, n_max: int | None = None) -> FockOperatorSet:
-    """Average state tau = (1/N) sum_k |alpha_k><alpha_k| and its matrix
-    functions via eigendecomposition (eigenvalues floored at zero; the
-    inverse square root acts on the support only)."""
+    """Average state tau = (1/N) sum_k |alpha_k><alpha_k| of the PSK ring and
+    its matrix functions from the block structure: on the block of n = r
+    mod N, tau[m, n] = c_m c_n, tau^{1/2} = tau / sqrt(lambda_r) and the
+    pseudo-inverse tau^{-1/2} = tau / lambda_r^{3/2}, where lambda_r is the
+    sum of c_n^2 over the block (Papanastasiou et al. 2018; Denys, Brown
+    and Leverrier 2021). lambda_r is a sum of positive terms; the DFT of
+    exp(|alpha|^2 omega^l), which equals it in exact arithmetic, cancels to
+    zero or below at N = 16. Blocks with lambda_r at or below
+    ``EIGENVALUE_FLOOR`` (and blocks with no Fock level below ``n_max``)
+    lie outside the support."""
     if n_max is None:
         n_max = choose_fock_cutoff(constellation.amplitude)
-    points = constellation.points
-    vectors = np.stack([coherent_state_fock(complex(a), n_max) for a in points])
-    tau = (vectors.conj()[:, None, :] * vectors[:, :, None]).sum(axis=0) / points.size
+    order = constellation.n_points
+    amplitudes = coherent_state_fock(constellation.amplitude, n_max).real
+    n = np.arange(n_max)
+    block = n % order
+    weights = np.bincount(block, weights=amplitudes * amplitudes)
+    support = weights > EIGENVALUE_FLOOR
+    inv_sqrt_weights = np.zeros_like(weights)
+    inv_sqrt_weights[support] = 1.0 / np.sqrt(weights[support])
 
-    trace_deficit = abs(1.0 - float(np.trace(tau).real))
-    if trace_deficit > 1e-10:
-        raise KeyRateDomainError(
-            f"Fock cutoff {n_max} too small: trace deficit {trace_deficit:.2e}"
-        )
-    eigenvalues, basis = np.linalg.eigh(tau)
-    eigenvalues = np.where(eigenvalues > EIGENVALUE_FLOOR, eigenvalues, 0.0)
-    support = eigenvalues > 0
-    sqrt_vals = np.sqrt(eigenvalues)
-    inv_sqrt_vals = np.zeros_like(eigenvalues)
-    inv_sqrt_vals[support] = 1.0 / sqrt_vals[support]
-    tau_sqrt = (basis * sqrt_vals) @ basis.conj().T
-    tau_inv_sqrt = (basis * inv_sqrt_vals) @ basis.conj().T
+    tau = np.where(block[:, None] == block, np.outer(amplitudes, amplitudes), 0.0)
+    scale = inv_sqrt_weights[block][:, None]
+    tau_sqrt = tau * scale
+    # omega^{kn} read by kn mod N from the N roots of unity
+    roots = np.exp(2j * math.pi / order * np.arange(order))
+    phases = roots[np.outer(np.arange(order), n) % order]
     return FockOperatorSet(
         tau=tau,
         tau_sqrt=tau_sqrt,
-        tau_inv_sqrt=tau_inv_sqrt,
+        tau_inv_sqrt=tau_sqrt * scale * scale,
         lowering=lowering_operator(n_max),
-        coherent_vectors=vectors,
+        coherent_vectors=amplitudes * phases,
         n_max=n_max,
         support_dim=int(support.sum()),
     )
 
 
 def correlation_term(inputs: KeyRateInputs, operators: FockOperatorSet | None = None) -> tuple[float, float]:
-    """Alice-Bob correlation Z and the noise-penalty weight w."""
+    """Alice-Bob correlation Z and the noise-penalty weight w from any set
+    of Fock operators; the default is ``build_tau`` of the inputs' PSK
+    ring. For that ring the trace and w are O(N) sums over the block
+    weights, but they stay matrix expressions here: any tau (a thermal
+    state, say) can be passed in, and the traced benchmark's
+    ``build_tau`` -> ``correlation_term`` composition must reproduce
+    ``key_rate`` exactly. The expectation values over the N coherent
+    vectors come from one product each."""
     if operators is None:
         operators = build_tau(inputs.constellation, inputs.fock_cutoff)
     a_op = operators.lowering
@@ -228,18 +266,18 @@ def correlation_term(inputs: KeyRateInputs, operators: FockOperatorSet | None = 
 
     dressed = operators.tau_sqrt @ a_op @ operators.tau_inv_sqrt
     number_like = dressed.conj().T @ dressed
-    w = 0.0
-    for vec in operators.coherent_vectors:
-        mean_number = np.vdot(vec, number_like @ vec)
-        mean_lower = np.vdot(vec, dressed @ vec)
-        w += (mean_number.real - abs(mean_lower) ** 2) / operators.coherent_vectors.shape[0]
+    vectors = operators.coherent_vectors
+    bras = vectors.conj()
+    mean_number = (bras * (vectors @ number_like.T)).sum(axis=1).real
+    mean_lower = (bras * (vectors @ dressed.T)).sum(axis=1)
+    w = float(np.mean(mean_number - np.abs(mean_lower) ** 2))
 
     t = inputs.transmittance
     z = 2.0 * math.sqrt(t) * trace.real
     penalty_sq = 2.0 * t * inputs.excess_noise * w
     if penalty_sq > 0:
         z -= math.sqrt(penalty_sq)
-    return z, float(w)
+    return z, w
 
 
 # ---------------------------------------------------------------------------

@@ -94,3 +94,12 @@ def test_closed_form_modules_import_nothing_from_qsim(module):
     tree = ast.parse((ROOT / "src" / "qknn_cvqkd" / module).read_text())
     imported = [name for name in _imported_modules(tree) if "qsim" in name.split(".")]
     assert not imported, f"{module} imports {imported}"
+
+
+def test_secrate_makes_no_linalg_call():
+    # tau's matrix functions come from its PSK block structure; a LAPACK
+    # eigendecomposition per key-rate point costs time and workspace memory
+    tree = ast.parse((ROOT / "src" / "qknn_cvqkd" / "secrate.py").read_text())
+    imported = [name for name in _imported_modules(tree) if "linalg" in name.split(".")]
+    read = [name for name in _reads(tree) if name == "linalg"]
+    assert not imported and not read, f"secrate.py uses {imported + read}"

@@ -173,6 +173,17 @@ def test_inputs_validation_rejects_unphysical_parameters():
             secrate.KeyRateInputs(**{**good, field: value})
 
 
+@pytest.mark.parametrize("cutoff", [0, -3, 2.5])
+def test_inputs_reject_a_fock_cutoff_that_is_not_a_positive_integer(cutoff):
+    with pytest.raises(secrate.KeyRateDomainError, match="Fock cutoff"):
+        make_inputs(fock_cutoff=cutoff)
+
+
+def test_inputs_accept_an_integer_fock_cutoff():
+    assert make_inputs(fock_cutoff=np.int64(24)).fock_cutoff == 24
+    assert make_inputs(fock_cutoff=None).fock_cutoff is None
+
+
 # ---------------------------------------------------------------------------
 # Fock-space pieces
 # ---------------------------------------------------------------------------
@@ -203,6 +214,95 @@ def test_fock_mean_photon_number():
 def test_fock_insufficient_cutoff_raises():
     with pytest.raises(secrate.KeyRateDomainError):
         secrate.coherent_state_fock(2.0, 4)
+
+
+def test_candidate_tails_equal_the_tail_mass_of_each_cutoff():
+    # the one-pass walk reads the same partial sums as a fresh summation
+    for vm in SCAN_MODULATION_VARIANCES:
+        mean = vm / 2.0
+        tails = list(secrate.candidate_tail_masses(mean))
+        assert [cutoff for cutoff, _ in tails] == list(range(16, 513, 4))
+        for cutoff, tail in tails:
+            assert tail == secrate.coherent_tail_mass(mean, cutoff), (vm, cutoff)
+
+
+def test_fock_cutoff_is_the_first_candidate_below_tolerance():
+    for vm in SCAN_MODULATION_VARIANCES:
+        mean = vm / 2.0
+        first = next(c for c in range(16, 513, 4) if secrate.coherent_tail_mass(mean, c) <= 1e-12)
+        assert secrate.choose_fock_cutoff(math.sqrt(mean)) == first
+
+
+def test_fock_cutoff_search_stops_at_512():
+    with pytest.raises(secrate.KeyRateDomainError, match="no workable Fock cutoff"):
+        secrate.choose_fock_cutoff(math.sqrt(400.0))
+
+
+def eigh_build_tau(constellation: Constellation, n_max: int | None = None):
+    """Reference tau: the N coherent vectors summed as outer products, and
+    the matrix functions by eigendecomposition (eigenvalues at or below the
+    floor are zeroed; the inverse square root acts on the support only)."""
+    if n_max is None:
+        n_max = secrate.choose_fock_cutoff(constellation.amplitude)
+    points = constellation.points
+    vectors = np.stack([secrate.coherent_state_fock(complex(a), n_max) for a in points])
+    tau = (vectors.conj()[:, None, :] * vectors[:, :, None]).sum(axis=0) / points.size
+    assert abs(1.0 - float(np.trace(tau).real)) < 1e-10
+    eigenvalues, basis = np.linalg.eigh(tau)
+    eigenvalues = np.where(eigenvalues > secrate.EIGENVALUE_FLOOR, eigenvalues, 0.0)
+    support = eigenvalues > 0
+    sqrt_vals = np.sqrt(eigenvalues)
+    inv_sqrt_vals = np.zeros_like(eigenvalues)
+    inv_sqrt_vals[support] = 1.0 / sqrt_vals[support]
+    return secrate.FockOperatorSet(
+        tau=tau,
+        tau_sqrt=(basis * sqrt_vals) @ basis.conj().T,
+        tau_inv_sqrt=(basis * inv_sqrt_vals) @ basis.conj().T,
+        lowering=secrate.lowering_operator(n_max),
+        coherent_vectors=vectors,
+        n_max=n_max,
+        support_dim=int(support.sum()),
+    )
+
+
+def assert_matches_reference(constellation: Constellation, n_max: int | None = None) -> None:
+    ops = secrate.build_tau(constellation, n_max)
+    ref = eigh_build_tau(constellation, n_max)
+    assert (ops.n_max, ops.support_dim) == (ref.n_max, ref.support_dim)
+    assert np.abs(ops.tau - ref.tau).max() < 1e-12
+    assert np.abs(ops.tau_sqrt - ref.tau_sqrt).max() < 1e-12
+    assert np.abs(ops.coherent_vectors - ref.coherent_vectors).max() < 1e-12
+    # a block whose weight lambda_r sits just above the floor has entries
+    # ~lambda_r^{-1/2} ~ 3e5 in tau^{-1/2}, which eigh resolves only to
+    # about 1e-8 absolutely (eigenvalue error ~1e-16 over lambda_r): compare
+    # relative to the largest entry there, and absolutely on tau^{1/2} tau^{-1/2}
+    scale = np.abs(ref.tau_inv_sqrt).max()
+    assert np.abs(ops.tau_inv_sqrt - ref.tau_inv_sqrt).max() < 1e-12 * max(scale, 1.0)
+    projector = ops.tau_sqrt @ ops.tau_inv_sqrt
+    assert np.abs(projector - ref.tau_sqrt @ ref.tau_inv_sqrt).max() < 1e-12
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_block_tau_matches_the_eigendecomposition_on_the_scan_grid(order):
+    for vm in SCAN_MODULATION_VARIANCES:
+        assert_matches_reference(Constellation(order, vm))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 16])
+@pytest.mark.parametrize("vm", [1e-20, 1e-6, 0.01, 0.2, 1.0, 3.2, 12.0])
+def test_block_tau_matches_the_eigendecomposition(order, vm):
+    assert_matches_reference(Constellation(order, vm))
+
+
+@pytest.mark.parametrize(
+    "order,vm,n_max,support",
+    [(8, 1e-20, 1, 1), (8, 1e-20, 5, 1), (16, 1e-13, 1, 1), (16, 1e-7, 3, 2), (16, 1e-4, 8, 3)],
+)
+def test_block_tau_matches_the_eigendecomposition_below_the_order(order, vm, n_max, support):
+    # blocks with no Fock level below the cutoff are empty and lie outside
+    # the support, as do blocks whose weight is at or below the floor
+    assert secrate.build_tau(Constellation(order, vm), n_max).support_dim == support
+    assert_matches_reference(Constellation(order, vm), n_max)
 
 
 def test_tau_single_point_is_pure():
@@ -458,3 +558,51 @@ def test_eve_information_reduction_factor():
     result = secrate.key_rate(make_inputs(loss_db=3.0), "conventional")
     assert result.holevo_information > 0
     assert result.holevo_information / 8 < result.holevo_information
+
+
+# ---------------------------------------------------------------------------
+# the repeaterless bound
+# ---------------------------------------------------------------------------
+
+def plob_bound(transmittance: float) -> float:
+    """-log2(1 - T), the repeaterless secret-key capacity of a pure-loss
+    channel (Pirandola, Laurenza, Ottaviani and Banchi, Nat. Commun. 8,
+    15043 (2017)); infinite at T = 1."""
+    return math.inf if transmittance == 1.0 else -math.log2(1.0 - transmittance)
+
+
+@pytest.fixture(scope="module")
+def scan_rates_over_the_bound():
+    """(N, V_m, loss) -> K / PLOB per scheme over the benchmark's scan grid
+    (its channel is FIG11's, with AUC 0.9)."""
+    ratios = {"conventional": {}, "qknn": {}}
+    for order in (4, 8):
+        for vm in SCAN_MODULATION_VARIANCES:
+            for loss_db in SCAN_LOSSES_DB:
+                inputs = make_inputs(vm=vm, loss_db=loss_db, n=order, auc=0.9)
+                bound = plob_bound(inputs.transmittance)
+                for scheme in ratios:
+                    rate = secrate.key_rate(inputs, scheme).key_rate
+                    ratios[scheme][order, vm, loss_db] = rate / bound
+    return ratios
+
+
+def test_conventional_rates_stay_below_the_repeaterless_bound(scan_rates_over_the_bound):
+    # the worst point reaches 0.023 of the bound
+    ratios = scan_rates_over_the_bound["conventional"]
+    assert len(ratios) == 984
+    assert max(ratios.values()) < 0.03
+
+
+def test_qknn_rates_exceed_the_repeaterless_bound_at_large_modulation(scan_rates_over_the_bound):
+    # documents the region, not a defect of secrate: the qknn rate divides
+    # chi_BE by N, so it grows with V_m past the bound; every point above it
+    # is 8-PSK with V_m >= 6 or QPSK with V_m >= 8
+    ratios = scan_rates_over_the_bound["qknn"]
+    above = {point for point, ratio in ratios.items() if ratio > 1.0}
+    assert len(ratios) == 984
+    assert len(above) == 208
+    assert {(n, vm) for n, vm, _ in above} == {
+        (8, 6.0), (8, 8.0), (8, 10.0), (8, 12.0), (4, 8.0), (4, 10.0), (4, 12.0)
+    }
+    assert 2.3 < max(ratios.values()) < 2.4
