@@ -148,26 +148,29 @@ class ComplexityReport:
         return sum(self.quantum_stages.values())
 
 
-def complexity_classical(feature_dim: int, training_size: int, k: int) -> float:
-    """Similarity pass + sort + vote: U*M + M*log2(M) + k."""
+def _sizes(feature_dim: int, training_size: int, k: int) -> tuple[float, float]:
+    """(U, M) as floats once U, M and k are all at least 1."""
     if min(feature_dim, training_size, k) < 1:
         raise ValueError("arguments must be positive")
-    u, m = float(feature_dim), float(training_size)
+    return float(feature_dim), float(training_size)
+
+
+def complexity_classical(feature_dim: int, training_size: int, k: int) -> float:
+    """Similarity pass + sort + vote: U*M + M*log2(M) + k."""
+    u, m = _sizes(feature_dim, training_size, k)
     return u * m + m * math.log2(m) + float(k)
 
 
 def complexity_quantum(feature_dim: int, training_size: int, k: int, delta: float) -> float:
     """Swap tests + estimation + k-maximal search + vote:
     M*log2(U)^2 + R + sqrt(k*M) + k with R = ceil(pi*(pi+1)/delta)."""
-    if min(feature_dim, training_size, k) < 1:
-        raise ValueError("arguments must be positive")
-    u, m = float(feature_dim), float(training_size)
+    u, m = _sizes(feature_dim, training_size, k)
     r = estimation_iteration_count(delta)
     return m * math.log2(u) ** 2 + r + math.sqrt(k * m) + float(k)
 
 
 def complexity_report(feature_dim: int, training_size: int, k: int, delta: float) -> ComplexityReport:
-    u, m = float(feature_dim), float(training_size)
+    u, m = _sizes(feature_dim, training_size, k)
     r = estimation_iteration_count(delta)
     return ComplexityReport(
         feature_dim=feature_dim,

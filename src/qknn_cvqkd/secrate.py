@@ -27,16 +27,21 @@ and each block is rank one: tau = sum_r |u_r><u_r| with (u_r)_n = c_n for
 n = r mod N, and eigenvalue lambda_r = |u_r|^2 (Papanastasiou et al., PRA 98,
 012340 (2018); Denys, Brown and Leverrier, Quantum 5, 540 (2021)).
 ``build_tau`` writes tau^{1/2} and tau^{-1/2} from that structure without an
-eigendecomposition, so the module makes no LAPACK call. The trace and w stay
-Fock-space matrix expressions rather than O(N) scalars: the operators are
-what the traced benchmark composes (``build_tau`` then ``correlation_term``),
-and that composition must give exactly the rate of ``key_rate``.
+eigendecomposition, so the module makes no LAPACK call. Tables free of data
+are built once, read-only and keyed by integers only: log(n!)/2 and a per
+cutoff D; n mod N, the same-block mask and omega^{kn} per (N, D). The trace
+and w take three D x D products (tau^{1/2} a, tau^{1/2} a^dag, a_tau) and one
+N x D product. They stay matrix expressions, not the O(N) scalars of the block
+weights: the traced benchmark's ``build_tau`` -> ``correlation_term``
+composition must give exactly ``key_rate``'s rate, and a faster pass waits on
+the benchmark retaining less per pass (ROADMAP.md items 1 and 3).
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -167,20 +172,25 @@ def coherent_tail_mass(mean_photons: float, cutoff: int) -> float:
     return max(0.0, 1.0 - total)
 
 
-def coherent_state_fock(alpha: complex, n_max: int) -> np.ndarray:
-    """Number-basis amplitudes e^{-|a|^2/2} a^n / sqrt(n!), length n_max."""
+@lru_cache(maxsize=64)
+def _half_log_factorials(n_max: int) -> np.ndarray:
+    """log(n!)/2 for n < n_max; built once per cutoff and read-only."""
+    table = 0.5 * np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n_max)))])
+    table.flags.writeable = False
+    return table
+
+
+def fock_magnitudes(magnitude: float, n_max: int) -> np.ndarray:
+    """Real amplitudes e^{-r^2/2} r^n / sqrt(n!) of a coherent state, r >= 0, length
+    n_max; raises when the cutoff leaves a norm deficit above ``FOCK_TAIL_TOLERANCE``."""
     if n_max < 1:
         raise ValueError("need at least the vacuum component")
-    n = np.arange(n_max)
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n_max)))])
-    magnitude = abs(alpha)
-    with np.errstate(divide="ignore"):
-        log_mag = np.where(n > 0, n * np.log(magnitude) if magnitude > 0 else -np.inf, 0.0)
-    amps = np.exp(-magnitude * magnitude / 2.0 + log_mag - 0.5 * log_fact).astype(complex)
     if magnitude > 0:
-        phase = alpha / magnitude
-        amps *= phase**n
-    deficit = 1.0 - float(np.vdot(amps, amps).real)
+        log_mag = np.arange(n_max) * np.log(magnitude)
+        amps = np.exp(-magnitude * magnitude / 2.0 + log_mag - _half_log_factorials(n_max))
+    else:
+        amps = np.eye(1, n_max)[0]
+    deficit = 1.0 - float(amps @ amps)
     if deficit > FOCK_TAIL_TOLERANCE:
         raise KeyRateDomainError(
             f"Fock cutoff {n_max} leaves norm deficit {deficit:.2e} for |alpha| = {magnitude}"
@@ -188,11 +198,36 @@ def coherent_state_fock(alpha: complex, n_max: int) -> np.ndarray:
     return amps
 
 
+def coherent_state_fock(alpha: complex, n_max: int) -> np.ndarray:
+    """Number-basis amplitudes e^{-|a|^2/2} a^n / sqrt(n!), length n_max."""
+    magnitude = abs(alpha)
+    amps = fock_magnitudes(magnitude, n_max).astype(complex)
+    if alpha != magnitude:  # a phase other than 1; alpha = 0 has none
+        amps *= (alpha / magnitude) ** np.arange(n_max)
+    return amps
+
+
+@lru_cache(maxsize=64)
 def lowering_operator(n_max: int) -> np.ndarray:
+    """The truncated a with a|n> = sqrt(n)|n-1>; one read-only copy per cutoff."""
     op = np.zeros((n_max, n_max), dtype=complex)
     ns = np.arange(1, n_max)
     op[ns - 1, ns] = np.sqrt(ns)
+    op.flags.writeable = False
     return op
+
+
+@lru_cache(maxsize=64)
+def _ring_tables(order: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n mod N per level, the same-block mask and the N x D phases omega^{kn}
+    (read by kn mod N from the roots of unity); read-only, once per (N, D)."""
+    n = np.arange(n_max)
+    block = n % order
+    roots = np.exp(2j * math.pi / order * np.arange(order))
+    tables = (block, block[:, None] == block, roots[np.outer(np.arange(order), n) % order])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True)
@@ -222,21 +257,16 @@ def build_tau(constellation: Constellation, n_max: int | None = None) -> FockOpe
     lie outside the support."""
     if n_max is None:
         n_max = choose_fock_cutoff(constellation.amplitude)
-    order = constellation.n_points
-    amplitudes = coherent_state_fock(constellation.amplitude, n_max).real
-    n = np.arange(n_max)
-    block = n % order
+    amplitudes = fock_magnitudes(constellation.amplitude, n_max)
+    block, same_block, phases = _ring_tables(constellation.n_points, n_max)
     weights = np.bincount(block, weights=amplitudes * amplitudes)
     support = weights > EIGENVALUE_FLOOR
     inv_sqrt_weights = np.zeros_like(weights)
     inv_sqrt_weights[support] = 1.0 / np.sqrt(weights[support])
 
-    tau = np.where(block[:, None] == block, np.outer(amplitudes, amplitudes), 0.0)
+    tau = np.where(same_block, np.outer(amplitudes, amplitudes), 0.0)
     scale = inv_sqrt_weights[block][:, None]
     tau_sqrt = tau * scale
-    # omega^{kn} read by kn mod N from the N roots of unity
-    roots = np.exp(2j * math.pi / order * np.arange(order))
-    phases = roots[np.outer(np.arange(order), n) % order]
     return FockOperatorSet(
         tau=tau,
         tau_sqrt=tau_sqrt,
@@ -251,25 +281,21 @@ def build_tau(constellation: Constellation, n_max: int | None = None) -> FockOpe
 def correlation_term(inputs: KeyRateInputs, operators: FockOperatorSet | None = None) -> tuple[float, float]:
     """Alice-Bob correlation Z and the noise-penalty weight w from any set
     of Fock operators; the default is ``build_tau`` of the inputs' PSK
-    ring. For that ring the trace and w are O(N) sums over the block
-    weights, but they stay matrix expressions here: any tau (a thermal
-    state, say) can be passed in, and the traced benchmark's
-    ``build_tau`` -> ``correlation_term`` composition must reproduce
-    ``key_rate`` exactly. The expectation values over the N coherent
-    vectors come from one product each."""
+    ring. The trace is the sum of (tau^{1/2} a) * (tau^{1/2} a^dag)^T,
+    a_tau reuses tau^{1/2} a, and <v|a_tau^dag a_tau|v> = |a_tau v|^2 comes
+    from the N x D product that gives <v|a_tau|v>."""
     if operators is None:
         operators = build_tau(inputs.constellation, inputs.fock_cutoff)
     a_op = operators.lowering
-    trace = np.trace(operators.tau_sqrt @ a_op @ operators.tau_sqrt @ a_op.conj().T)
+    lowered_sqrt = operators.tau_sqrt @ a_op
+    trace = np.sum(lowered_sqrt * (operators.tau_sqrt @ a_op.conj().T).T)
     if not abs(trace.imag) < 1e-9:
         raise KeyRateDomainError(f"correlation trace has imaginary residue {trace.imag}")
 
-    dressed = operators.tau_sqrt @ a_op @ operators.tau_inv_sqrt
-    number_like = dressed.conj().T @ dressed
     vectors = operators.coherent_vectors
-    bras = vectors.conj()
-    mean_number = (bras * (vectors @ number_like.T)).sum(axis=1).real
-    mean_lower = (bras * (vectors @ dressed.T)).sum(axis=1)
+    lowered = vectors @ (lowered_sqrt @ operators.tau_inv_sqrt).T  # rows a_tau|v_k>
+    mean_number = (np.abs(lowered) ** 2).sum(axis=1)
+    mean_lower = (vectors.conj() * lowered).sum(axis=1)
     w = float(np.mean(mean_number - np.abs(mean_lower) ** 2))
 
     t = inputs.transmittance

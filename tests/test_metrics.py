@@ -178,6 +178,21 @@ def test_report_totals_match_flat_functions():
     assert report.quantum_total == pytest.approx(metrics.complexity_quantum(8, 128, 15, 0.1) + 6.0)
 
 
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda u, m, k: metrics.complexity_classical(u, m, k),
+        lambda u, m, k: metrics.complexity_quantum(u, m, k, 0.1),
+        lambda u, m, k: metrics.complexity_report(u, m, k, 0.1),
+    ],
+    ids=["classical", "quantum", "report"],
+)
+@pytest.mark.parametrize("sizes", [(2, 16, 0), (0, 16, 7), (2, 0, 7), (-1, 16, 7)])
+def test_count_models_reject_non_positive_sizes(count, sizes):
+    with pytest.raises(ValueError, match="arguments must be positive"):
+        count(*sizes)
+
+
 # ---------------------------------------------------------------------------
 # oracle budget
 # ---------------------------------------------------------------------------

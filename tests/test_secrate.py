@@ -188,6 +188,39 @@ def test_inputs_accept_an_integer_fock_cutoff():
 # Fock-space pieces
 # ---------------------------------------------------------------------------
 
+def coherent_state_fock_reference(alpha: complex, n_max: int) -> np.ndarray:
+    """Per-call amplitudes: log-factorials rebuilt, the phase raised to
+    every power; the norm-deficit check is left to the code under test."""
+    n = np.arange(n_max)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n_max)))])
+    magnitude = abs(alpha)
+    with np.errstate(divide="ignore"):
+        log_mag = np.where(n > 0, n * np.log(magnitude) if magnitude > 0 else -np.inf, 0.0)
+    amps = np.exp(-magnitude * magnitude / 2.0 + log_mag - 0.5 * log_fact).astype(complex)
+    if magnitude > 0:
+        amps *= (alpha / magnitude) ** n
+    return amps
+
+
+@pytest.mark.parametrize("n_max", [1, 16, 20, 32, 64])
+def test_shared_kernel_matches_the_per_call_amplitudes(n_max):
+    for mean in (0.0, 1e-20, 1e-6, 0.01, 0.1, 0.5, 1.0, 3.0, 6.0):
+        magnitude = math.sqrt(mean)
+        try:
+            reference = coherent_state_fock_reference(magnitude, n_max)
+            amps = secrate.fock_magnitudes(magnitude, n_max)
+        except secrate.KeyRateDomainError:
+            assert secrate.coherent_tail_mass(mean, n_max) > 1e-12, (mean, n_max)
+            continue
+        assert amps.dtype == np.float64
+        assert np.abs(amps - reference.real).max() <= 1e-15, (mean, n_max)
+        assert np.abs(reference.imag).max() == 0.0
+        for phase in (1.0, -1.0, 1j, np.exp(0.7j)):
+            alpha = magnitude * phase
+            expected = coherent_state_fock_reference(alpha, n_max)
+            assert np.abs(secrate.coherent_state_fock(alpha, n_max) - expected).max() <= 1e-15
+
+
 def test_vacuum_fock_amplitudes():
     amps = secrate.coherent_state_fock(0.0, 8)
     assert np.abs(amps - np.eye(8)[0]).max() == 0.0
@@ -333,6 +366,55 @@ def test_tau_qpsk_block_structure_mod_four():
     assert np.abs(ops.tau[off_block]).max() < 1e-14
 
 
+# every cache in secrate: structural tables keyed by integers only, never by data
+STRUCTURAL_CACHES = {
+    name: value for name, value in vars(secrate).items() if hasattr(value, "cache_info")
+}
+
+
+def test_cached_tables_are_read_only():
+    tables = [secrate._half_log_factorials(20), secrate.lowering_operator(20)]
+    tables += secrate._ring_tables(8, 20)
+    for table in tables:
+        with pytest.raises(ValueError):
+            table.flat[0] = 1.0
+    ops = secrate.build_tau(Constellation(8, 0.38))
+    with pytest.raises(ValueError):
+        ops.lowering[0, 1] = 0.0
+
+
+def test_caches_hold_one_entry_per_cutoff_or_ring():
+    assert set(STRUCTURAL_CACHES) == {"_half_log_factorials", "lowering_operator", "_ring_tables"}
+    for cache in STRUCTURAL_CACHES.values():
+        cache.cache_clear()
+    cutoffs, rings = set(), set()
+    for order in (4, 8):
+        for vm in SCAN_MODULATION_VARIANCES:
+            for loss_db in SCAN_LOSSES_DB:
+                inputs = make_inputs(vm=vm, loss_db=loss_db, n=order, auc=0.9)
+                for scheme in ("conventional", "qknn"):
+                    secrate.key_rate(inputs, scheme)
+            cutoff = secrate.choose_fock_cutoff(inputs.coherent_amplitude)
+            cutoffs.add(cutoff)
+            rings.add((order, cutoff))
+    assert len(cutoffs) < len(SCAN_MODULATION_VARIANCES)
+    assert secrate._half_log_factorials.cache_info().currsize <= len(cutoffs)
+    assert secrate.lowering_operator.cache_info().currsize <= len(cutoffs)
+    assert secrate._ring_tables.cache_info().currsize <= len(rings)
+
+
+def test_each_build_owns_its_arrays():
+    constellation = Constellation(8, 1.0)
+    first = secrate.build_tau(constellation)
+    fields = ("tau", "tau_sqrt", "tau_inv_sqrt", "coherent_vectors")
+    saved = {name: getattr(first, name).copy() for name in fields}
+    for name in fields:
+        getattr(first, name)[...] = np.nan
+    second = secrate.build_tau(constellation)
+    for name in fields:
+        assert np.array_equal(getattr(second, name), saved[name]), name
+
+
 # ---------------------------------------------------------------------------
 # correlation term
 # ---------------------------------------------------------------------------
@@ -351,24 +433,25 @@ def test_correlation_vanishes_with_transmittance():
     assert abs(z) < 0.02
 
 
+def thermal_operator_set(mean: float, n_max: int) -> secrate.FockOperatorSet:
+    """A thermal state of mean photon number ``mean`` in place of tau, with
+    the vacuum as its one coherent vector."""
+    weights = (mean / (1.0 + mean)) ** np.arange(n_max) / (1.0 + mean)
+    return secrate.FockOperatorSet(
+        tau=np.diag(weights).astype(complex),
+        tau_sqrt=np.diag(np.sqrt(weights)).astype(complex),
+        tau_inv_sqrt=np.diag(1.0 / np.sqrt(weights)).astype(complex),
+        lowering=secrate.lowering_operator(n_max),
+        coherent_vectors=np.eye(n_max)[:1].astype(complex), n_max=n_max, support_dim=n_max,
+    )
+
+
 def test_thermal_state_recovers_gaussian_correlation():
     # replacing tau by a thermal state of the same mean photon number must
     # reproduce sqrt(T*(V^2-1)) closely at small modulation variance
     for vm in (0.1, 0.3, 0.5):
         inputs = make_inputs(vm=vm, excess_noise=0.0)
-        n_max = 64
-        mean = vm / 2.0
-        weights = (mean / (1.0 + mean)) ** np.arange(n_max) / (1.0 + mean)
-        tau = np.diag(weights).astype(complex)
-        basis = np.eye(n_max)
-        sqrt_tau = np.diag(np.sqrt(weights)).astype(complex)
-        inv_sqrt = np.diag(1.0 / np.sqrt(weights)).astype(complex)
-        ops = secrate.FockOperatorSet(
-            tau=tau, tau_sqrt=sqrt_tau, tau_inv_sqrt=inv_sqrt,
-            lowering=secrate.lowering_operator(n_max),
-            coherent_vectors=basis[:1].astype(complex), n_max=n_max, support_dim=n_max,
-        )
-        z, _ = secrate.correlation_term(inputs, ops)
+        z, _ = secrate.correlation_term(inputs, thermal_operator_set(vm / 2.0, 64))
         gauss = math.sqrt(inputs.transmittance * (inputs.ensemble_variance**2 - 1.0))
         assert abs(z - gauss) / gauss < 0.02
 
@@ -396,6 +479,66 @@ def test_fock_cutoff_convergence():
 # the keyrate_scan grid: every (N, V_m) block over 0 .. 20 dB in 0.5 dB steps
 SCAN_MODULATION_VARIANCES = (0.2, 0.35, 0.6, 1.0, 1.5, 2.2, 3.2, 4.5, 6.0, 8.0, 10.0, 12.0)
 SCAN_LOSSES_DB = tuple(0.5 * i for i in range(41))
+
+
+def correlation_term_reference(inputs: secrate.KeyRateInputs, operators) -> tuple[float, float]:
+    """Z and w with the trace as three D x D x D products and
+    <v|a_tau^dag a_tau|v> read through number_like = a_tau^dag a_tau."""
+    a_op = operators.lowering
+    trace = np.trace(operators.tau_sqrt @ a_op @ operators.tau_sqrt @ a_op.conj().T)
+    dressed = operators.tau_sqrt @ a_op @ operators.tau_inv_sqrt
+    number_like = dressed.conj().T @ dressed
+    vectors = operators.coherent_vectors
+    bras = vectors.conj()
+    mean_number = (bras * (vectors @ number_like.T)).sum(axis=1).real
+    mean_lower = (bras * (vectors @ dressed.T)).sum(axis=1)
+    w = float(np.mean(mean_number - np.abs(mean_lower) ** 2))
+    t = inputs.transmittance
+    z = 2.0 * math.sqrt(t) * trace.real
+    penalty_sq = 2.0 * t * inputs.excess_noise * w
+    if penalty_sq > 0:
+        z -= math.sqrt(penalty_sq)
+    return z, w
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_correlation_term_matches_the_reference_on_the_scan_grid(order):
+    for vm in SCAN_MODULATION_VARIANCES:
+        ops = secrate.build_tau(Constellation(order, vm))
+        for loss_db in SCAN_LOSSES_DB:
+            inputs = make_inputs(vm=vm, loss_db=loss_db, n=order)
+            z, w = secrate.correlation_term(inputs, ops)
+            z_ref, w_ref = correlation_term_reference(inputs, ops)
+            assert z == pytest.approx(z_ref, rel=1e-12), (vm, loss_db)
+            assert w == pytest.approx(w_ref, rel=1e-12), (vm, loss_db)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 16])
+@pytest.mark.parametrize("vm", [1e-20, 1e-6, 0.01, 0.2, 1.0, 3.2, 12.0])
+def test_correlation_term_matches_the_reference(order, vm):
+    inputs = make_inputs(vm=vm, n=order)
+    ops = secrate.build_tau(inputs.constellation)
+    z, w = secrate.correlation_term(inputs, ops)
+    z_ref, w_ref = correlation_term_reference(inputs, ops)
+    # w is a difference of two terms of size up to ~1 + |alpha|^2, each
+    # rounded differently by the two forms; where w nearly cancels (a
+    # single pure state has w = 0, tiny V_m leaves w ~ |alpha|^2 of terms
+    # ~1) the two agree to that rounding floor only, and Z takes the
+    # floor through sqrt(2 T xi w)
+    w_floor = 16 * np.finfo(float).eps * (1.0 + vm / 2.0)
+    z_floor = math.sqrt(2.0 * inputs.transmittance * inputs.excess_noise * w_floor)
+    assert w == pytest.approx(w_ref, rel=1e-12, abs=w_floor)
+    assert z == pytest.approx(z_ref, rel=1e-12, abs=z_floor)
+
+
+def test_correlation_term_matches_the_reference_on_a_thermal_state():
+    for vm in (0.1, 0.3, 0.5):
+        inputs = make_inputs(vm=vm)
+        ops = thermal_operator_set(vm / 2.0, 64)
+        z, w = secrate.correlation_term(inputs, ops)
+        z_ref, w_ref = correlation_term_reference(inputs, ops)
+        assert z == pytest.approx(z_ref, rel=1e-12)
+        assert w == pytest.approx(w_ref, rel=1e-12, abs=1e-15)
 
 
 def psk_block_spectrum(order: int, vm: float) -> np.ndarray:
