@@ -18,6 +18,7 @@ attenuation and the deterministic phase offset applied, jitter not).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,9 @@ class Constellation:
     modulation_variance: float
 
     def __post_init__(self):
-        if self.n_points < 1:
-            raise ValueError("constellation needs at least one point")
+        n = self.n_points
+        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError("constellation needs an integer number of points, at least one")
         if not 0.0 < self.modulation_variance < math.inf:  # NaN fails too
             raise ValueError("modulation variance must be positive and finite")
 

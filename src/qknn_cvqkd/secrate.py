@@ -28,13 +28,16 @@ n = r mod N, and eigenvalue lambda_r = |u_r|^2 (Papanastasiou et al., PRA 98,
 012340 (2018); Denys, Brown and Leverrier, Quantum 5, 540 (2021)).
 ``build_tau`` writes tau^{1/2} and tau^{-1/2} from that structure without an
 eigendecomposition, so the module makes no LAPACK call. Tables free of data
-are built once, read-only and keyed by integers only: log(n!)/2 and a per
-cutoff D; n mod N, the same-block mask and omega^{kn} per (N, D). The trace
-and w take three D x D products (tau^{1/2} a, tau^{1/2} a^dag, a_tau) and one
-N x D product. They stay matrix expressions, not the O(N) scalars of the block
-weights: the traced benchmark's ``build_tau`` -> ``correlation_term``
-composition must give exactly ``key_rate``'s rate, and a faster pass waits on
-the benchmark retaining less per pass (ROADMAP.md items 1 and 3).
+are built once, read-only and keyed by integers only: log(n!)/2 and the
+lowering operator a per cutoff D, a real float64 matrix; n mod N, the
+same-block mask and omega^{kn} per (N, D). With a PSK tau the trace and w take
+three real D x D products: a tau^{1/2} and tau^{1/2} a, whose vdot is the
+trace, and a_tau = (tau^{1/2} a) tau^{-1/2}; then one N x D product gives
+<v|a_tau|v> and |a_tau v|^2. They stay matrix expressions, not the O(N)
+scalars of the block weights, for two reasons. The traced benchmark's
+``build_tau`` -> ``correlation_term`` composition must give exactly
+``key_rate``'s rate. And the benchmark keeps ~0.1 MB per pass it runs, so a
+much faster pass reads a higher peak RSS (ROADMAP.md items 1 and 3).
 """
 from __future__ import annotations
 
@@ -83,13 +86,11 @@ class KeyRateInputs:
             raise KeyRateDomainError("detector efficiency must lie in (0, 1]")
         if not 0.0 < self.reconciliation_efficiency <= 1.0:
             raise KeyRateDomainError("reconciliation efficiency must lie in (0, 1]")
-        if self.psk_order < 1:
-            raise KeyRateDomainError("PSK order must be at least 1")
+        if not _is_positive_integer(self.psk_order):
+            raise KeyRateDomainError("PSK order must be an integer of at least 1")
         if not 0.0 <= self.classifier_auc <= 1.0:
             raise KeyRateDomainError("classifier AUC must lie in [0, 1]")
-        if self.fock_cutoff is not None and not (
-            isinstance(self.fock_cutoff, numbers.Integral) and self.fock_cutoff >= 1
-        ):
+        if self.fock_cutoff is not None and not _is_positive_integer(self.fock_cutoff):
             raise KeyRateDomainError("Fock cutoff must be None or an integer of at least 1")
 
     @property
@@ -108,6 +109,11 @@ class KeyRateInputs:
 
     def at_loss_db(self, loss_db: float) -> "KeyRateInputs":
         return replace(self, transmittance=10.0 ** (-loss_db / 10.0))
+
+
+def _is_positive_integer(value) -> bool:
+    """An integer of at least 1; numpy integers pass, bool does not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 def channel_added_noise(inputs: KeyRateInputs) -> float:
@@ -185,6 +191,8 @@ def fock_magnitudes(magnitude: float, n_max: int) -> np.ndarray:
     n_max; raises when the cutoff leaves a norm deficit above ``FOCK_TAIL_TOLERANCE``."""
     if n_max < 1:
         raise ValueError("need at least the vacuum component")
+    if not 0.0 <= magnitude < math.inf:  # NaN fails too
+        raise KeyRateDomainError(f"|alpha| = {magnitude} is not non-negative and finite")
     if magnitude > 0:
         log_mag = np.arange(n_max) * np.log(magnitude)
         amps = np.exp(-magnitude * magnitude / 2.0 + log_mag - _half_log_factorials(n_max))
@@ -210,7 +218,7 @@ def coherent_state_fock(alpha: complex, n_max: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def lowering_operator(n_max: int) -> np.ndarray:
     """The truncated a with a|n> = sqrt(n)|n-1>; one read-only copy per cutoff."""
-    op = np.zeros((n_max, n_max), dtype=complex)
+    op = np.zeros((n_max, n_max))
     ns = np.arange(1, n_max)
     op[ns - 1, ns] = np.sqrt(ns)
     op.flags.writeable = False
@@ -261,42 +269,42 @@ def build_tau(constellation: Constellation, n_max: int | None = None) -> FockOpe
     block, same_block, phases = _ring_tables(constellation.n_points, n_max)
     weights = np.bincount(block, weights=amplitudes * amplitudes)
     support = weights > EIGENVALUE_FLOOR
-    inv_sqrt_weights = np.zeros_like(weights)
-    inv_sqrt_weights[support] = 1.0 / np.sqrt(weights[support])
+    scale = np.divide(1.0, np.sqrt(weights), out=np.zeros_like(weights), where=support)[block]
 
-    tau = np.where(same_block, np.outer(amplitudes, amplitudes), 0.0)
-    scale = inv_sqrt_weights[block][:, None]
-    tau_sqrt = tau * scale
+    tau = np.outer(amplitudes, amplitudes)
+    tau *= same_block
+    tau_sqrt = tau * scale[:, None]
     return FockOperatorSet(
         tau=tau,
         tau_sqrt=tau_sqrt,
-        tau_inv_sqrt=tau_sqrt * scale * scale,
+        tau_inv_sqrt=tau_sqrt * (scale * scale)[:, None],
         lowering=lowering_operator(n_max),
         coherent_vectors=amplitudes * phases,
         n_max=n_max,
-        support_dim=int(support.sum()),
+        support_dim=int(np.count_nonzero(support)),
     )
 
 
 def correlation_term(inputs: KeyRateInputs, operators: FockOperatorSet | None = None) -> tuple[float, float]:
     """Alice-Bob correlation Z and the noise-penalty weight w from any set
     of Fock operators; the default is ``build_tau`` of the inputs' PSK
-    ring. The trace is the sum of (tau^{1/2} a) * (tau^{1/2} a^dag)^T,
-    a_tau reuses tau^{1/2} a, and <v|a_tau^dag a_tau|v> = |a_tau v|^2 comes
-    from the N x D product that gives <v|a_tau|v>."""
+    ring. The trace tr(tau^{1/2} a tau^{1/2} a^dag) is vdot(a tau^{1/2},
+    tau^{1/2} a) for any Hermitian tau^{1/2}, a_tau reuses tau^{1/2} a, and
+    <v|a_tau^dag a_tau|v> = |a_tau v|^2 comes from the N x D product that
+    gives <v|a_tau|v>."""
     if operators is None:
         operators = build_tau(inputs.constellation, inputs.fock_cutoff)
-    a_op = operators.lowering
-    lowered_sqrt = operators.tau_sqrt @ a_op
-    trace = np.sum(lowered_sqrt * (operators.tau_sqrt @ a_op.conj().T).T)
-    if not abs(trace.imag) < 1e-9:
-        raise KeyRateDomainError(f"correlation trace has imaginary residue {trace.imag}")
+    a_op, tau_sqrt = operators.lowering, operators.tau_sqrt
+    lowered_sqrt = tau_sqrt @ a_op
+    trace = np.vdot(a_op @ tau_sqrt, lowered_sqrt)
+    if not (abs(trace.imag) < 1e-9 and math.isfinite(trace.real)):
+        raise KeyRateDomainError(f"correlation trace {trace} is not finite or not real")
 
     vectors = operators.coherent_vectors
     lowered = vectors @ (lowered_sqrt @ operators.tau_inv_sqrt).T  # rows a_tau|v_k>
-    mean_number = (np.abs(lowered) ** 2).sum(axis=1)
-    mean_lower = (vectors.conj() * lowered).sum(axis=1)
-    w = float(np.mean(mean_number - np.abs(mean_lower) ** 2))
+    mean_number = np.vecdot(lowered, lowered).real
+    mean_lower = np.vecdot(vectors, lowered)
+    w = float((mean_number - np.abs(mean_lower) ** 2).sum() / len(vectors))
 
     t = inputs.transmittance
     z = 2.0 * math.sqrt(t) * trace.real
@@ -318,8 +326,8 @@ class SpectrumResult:
 
 
 def _sqrt_clipped(value: float, label: str) -> float:
-    if value < -1e-12:
-        raise KeyRateDomainError(f"negative discriminant in {label}: {value}")
+    if not value >= -1e-12:  # NaN fails too
+        raise KeyRateDomainError(f"negative or NaN discriminant in {label}: {value}")
     return math.sqrt(max(value, 0.0))
 
 

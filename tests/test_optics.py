@@ -49,10 +49,15 @@ def test_channel_rejects_out_of_range_parameters(field, bad):
         ideal_channel(**{field: bad})
 
 
-@pytest.mark.parametrize("n_points,variance", [(0, 0.38), (8, 0.0), (8, -1.0)])
+@pytest.mark.parametrize(
+    "n_points,variance",
+    [(0, 0.38), (8, 0.0), (8, -1.0), (2.5, 1.0), (4.0, 1.0), (True, 1.0)],
+)
 def test_constellation_rejects_empty_ring_or_non_positive_variance(n_points, variance):
+    # the ring size must be an integer; bool is not taken as N = 1
     with pytest.raises(ValueError):
         optics.Constellation(n_points, variance)
+    assert optics.Constellation(np.int64(4), 1.0).points.shape == (4,)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -6,6 +6,7 @@ detector beamsplitter fed by an EPR ancilla, heterodyne conditioning). It
 shares no code with the closed forms under test: symplectic eigenvalues
 come from |eig(i*Omega*sigma)|.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -162,6 +163,9 @@ def test_inputs_validation_rejects_unphysical_parameters():
         ("detector_efficiency", 0.0),
         ("reconciliation_efficiency", 1.5),
         ("psk_order", 0),
+        ("psk_order", 4.0),
+        ("psk_order", 2.5),
+        ("psk_order", True),
         ("classifier_auc", 1.2),
     ] + [
         (field, bad)
@@ -171,9 +175,10 @@ def test_inputs_validation_rejects_unphysical_parameters():
     ]:
         with pytest.raises(secrate.KeyRateDomainError):
             secrate.KeyRateInputs(**{**good, field: value})
+    assert secrate.KeyRateInputs(**{**good, "psk_order": np.int64(4)}).psk_order == 4
 
 
-@pytest.mark.parametrize("cutoff", [0, -3, 2.5])
+@pytest.mark.parametrize("cutoff", [0, -3, 2.5, True])
 def test_inputs_reject_a_fock_cutoff_that_is_not_a_positive_integer(cutoff):
     with pytest.raises(secrate.KeyRateDomainError, match="Fock cutoff"):
         make_inputs(fock_cutoff=cutoff)
@@ -219,6 +224,24 @@ def test_shared_kernel_matches_the_per_call_amplitudes(n_max):
             alpha = magnitude * phase
             expected = coherent_state_fock_reference(alpha, n_max)
             assert np.abs(secrate.coherent_state_fock(alpha, n_max) - expected).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "kernel,magnitude",
+    [
+        (secrate.fock_magnitudes, -1.0),
+        (secrate.fock_magnitudes, math.nan),
+        (secrate.fock_magnitudes, math.inf),
+        (secrate.coherent_state_fock, math.inf),
+        (secrate.coherent_state_fock, complex(math.nan, 1.0)),
+    ],
+    ids=["magnitudes-negative", "magnitudes-nan", "magnitudes-inf", "state-inf", "state-nan"],
+)
+def test_fock_amplitudes_reject_a_bad_magnitude(kernel, magnitude):
+    # a negative or NaN magnitude used to give the vacuum, which passes the
+    # norm check, and an infinite one NaN amplitudes
+    with pytest.raises(secrate.KeyRateDomainError, match="non-negative and finite"):
+        kernel(magnitude, 20)
 
 
 def test_vacuum_fock_amplitudes():
@@ -334,7 +357,9 @@ def test_block_tau_matches_the_eigendecomposition(order, vm):
 def test_block_tau_matches_the_eigendecomposition_below_the_order(order, vm, n_max, support):
     # blocks with no Fock level below the cutoff are empty and lie outside
     # the support, as do blocks whose weight is at or below the floor
-    assert secrate.build_tau(Constellation(order, vm), n_max).support_dim == support
+    support_dim = secrate.build_tau(Constellation(order, vm), n_max).support_dim
+    assert support_dim == support
+    assert type(support_dim) is int  # the benchmark writes it to its JSON record
     assert_matches_reference(Constellation(order, vm), n_max)
 
 
@@ -378,6 +403,8 @@ def test_cached_tables_are_read_only():
     for table in tables:
         with pytest.raises(ValueError):
             table.flat[0] = 1.0
+    # real entries, so the PSK products run in real arithmetic
+    assert secrate.lowering_operator(20).dtype == np.float64
     ops = secrate.build_tau(Constellation(8, 0.38))
     with pytest.raises(ValueError):
         ops.lowering[0, 1] = 0.0
@@ -531,6 +558,51 @@ def test_correlation_term_matches_the_reference(order, vm):
     assert z == pytest.approx(z_ref, rel=1e-12, abs=z_floor)
 
 
+@pytest.mark.parametrize("order", [3, 4, 8])
+@pytest.mark.parametrize("vm", [0.2, 3.2, 12.0])
+def test_correlation_term_is_unchanged_on_a_rotated_ring(order, vm):
+    # U = diag(e^{i phi n}) rotates every ring point by phi: tau, tau^{1/2}
+    # and tau^{-1/2} go to U X U^dag, complex and Hermitian, so the trace
+    # runs on complex arrays that no real PSK set produces; Z and w stay
+    # those of the unrotated ring
+    inputs = make_inputs(vm=vm, n=order)
+    ops = secrate.build_tau(inputs.constellation)
+    z_flat, w_flat = secrate.correlation_term(inputs, ops)
+    w_floor = 16 * np.finfo(float).eps * (1.0 + vm / 2.0)
+    z_floor = math.sqrt(2.0 * inputs.transmittance * inputs.excess_noise * w_floor)
+    for phi in (0.3, 1.1, math.pi / order):
+        phase = np.exp(1j * phi * np.arange(ops.n_max))
+        conjugation = np.outer(phase, phase.conj())
+        rotated = dataclasses.replace(
+            ops,
+            tau=ops.tau * conjugation,
+            tau_sqrt=ops.tau_sqrt * conjugation,
+            tau_inv_sqrt=ops.tau_inv_sqrt * conjugation,
+            coherent_vectors=ops.coherent_vectors * phase,
+        )
+        assert np.abs(rotated.tau_sqrt.imag).max() > 0.0
+        z, w = secrate.correlation_term(inputs, rotated)
+        for z_expected, w_expected in (
+            (z_flat, w_flat), correlation_term_reference(inputs, rotated)
+        ):
+            assert w == pytest.approx(w_expected, rel=1e-12, abs=w_floor), phi
+            assert z == pytest.approx(z_expected, rel=1e-12, abs=z_floor), phi
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_correlation_term_rejects_a_non_finite_trace(bad):
+    # the operators are real, so a NaN or infinite trace has no imaginary
+    # part for the residue check to catch
+    inputs = make_inputs()
+    ops = secrate.build_tau(inputs.constellation)
+    tau_sqrt = ops.tau_sqrt.copy()
+    tau_sqrt[0, 0] = bad
+    broken = dataclasses.replace(ops, tau_sqrt=tau_sqrt)
+    # an infinite entry meets the zeros of a, and 0 * inf is NaN
+    with np.errstate(invalid="ignore"), pytest.raises(secrate.KeyRateDomainError, match="not finite"):
+        secrate.correlation_term(inputs, broken)
+
+
 def test_correlation_term_matches_the_reference_on_a_thermal_state():
     for vm in (0.1, 0.3, 0.5):
         inputs = make_inputs(vm=vm)
@@ -625,6 +697,11 @@ def test_unphysical_parameters_raise_named_error():
     inputs = make_inputs()
     with pytest.raises(secrate.KeyRateDomainError, match="lambda"):
         secrate.symplectic_spectrum(inputs, 10.0, 0.0)  # correlation above EPR bound
+
+
+def test_nan_correlation_raises_instead_of_giving_nan_eigenvalues():
+    with pytest.raises(secrate.KeyRateDomainError, match="NaN discriminant"):
+        secrate.symplectic_spectrum(make_inputs(), math.nan, 0.0)
 
 
 # ---------------------------------------------------------------------------
