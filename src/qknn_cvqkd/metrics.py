@@ -22,12 +22,14 @@ from .qknn.similarity import required_iterations as estimation_iteration_count
 
 def confusion(predicted, actual, n_classes: int) -> np.ndarray:
     """Counts indexed [actual - 1, predicted - 1] for 1-based labels."""
-    predicted = np.asarray(predicted, dtype=int)
-    actual = np.asarray(actual, dtype=int)
+    predicted = np.asarray(predicted)
+    actual = np.asarray(actual)
     if predicted.shape != actual.shape:
         raise ValueError(f"length mismatch: {predicted.shape} vs {actual.shape}")
     if actual.size == 0:
         raise ValueError("confusion needs at least one label")
+    if predicted.dtype.kind not in "iu" or actual.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {predicted} and {actual}")
     if predicted.min() < 1 or predicted.max() > n_classes:
         raise ValueError(f"predicted labels outside 1..{n_classes}")
     if actual.min() < 1 or actual.max() > n_classes:
@@ -94,9 +96,11 @@ def roc_macro(scores: np.ndarray, actual, n_classes: int) -> RocCurve:
     false-positive-rate grids and averaged; classes absent from ``actual``
     are skipped (their one-vs-rest curve is undefined)."""
     scores = np.asarray(scores, dtype=float)
-    actual = np.asarray(actual, dtype=int)
+    actual = np.asarray(actual)
     if scores.ndim != 2 or scores.shape != (actual.size, n_classes):
         raise ValueError("scores must be (n_samples, n_classes)")
+    if actual.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {actual}")
     if not (scores.min() >= -1e-9 and scores.max() <= 1 + 1e-9):  # NaN fails too
         raise ValueError("scores must lie in [0, 1]")
     present = np.unique(actual)

@@ -48,18 +48,20 @@ class TrainingSet:
         scaler: FeatureScaler,
     ):
         features = np.asarray(features, dtype=float)
-        labels = np.array(labels, dtype=int)  # a copy: it is made read-only below
+        labels = np.asarray(labels)
         if features.ndim != 2 or features.shape[0] != labels.shape[0]:
             raise ValueError("features must be (M, U) with one label per row")
         if features.shape[0] < 1:
             raise ValueError("training set is empty")
         if not (features.min() >= -1e-12 and features.max() <= 1 + 1e-12):  # NaN fails too
             raise ValueError("normalized features must lie in [0, 1]")
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got {labels}")
         if labels.min() < 1 or labels.max() > n_classes:
             raise ValueError(f"labels must lie in 1..{n_classes}")
         self.features = np.clip(features, 0.0, 1.0)
         self.complement = np.sqrt(1.0 - self.features**2)
-        self.labels = labels
+        self.labels = labels.astype(int)  # a copy: it is made read-only below
         for array in (self.features, self.complement, self.labels):
             array.flags.writeable = False
         self.n_classes = int(n_classes)
@@ -75,7 +77,7 @@ class TrainingSet:
         scaler = FeatureScaler.fit(raw)
         return cls(
             features=scaler.transform(raw),
-            labels=np.asarray(labels, dtype=int),
+            labels=labels,
             n_classes=n_classes,
             scaler=scaler,
         )

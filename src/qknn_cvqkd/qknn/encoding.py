@@ -21,15 +21,19 @@ register to |0>. ``strip_scratch=False`` reserves that register: the state
 is tensored with |0> on a ``scratch`` span of ceil(log2(#distinct values))
 qubits (at least one) above the data registers, so the layout reports the
 width the oracle needs.
+
+The uniform superposition over |1>..|M> is written in closed form too: its
+post-selection circuit succeeds with probability M/2^m and then leaves exactly
+1/sqrt(M) on each ket, so the module runs no ``qsim`` gate.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .. import qsim
 from ..qsim import RegisterLayout, StateVector
 from .dataset import TrainingSet
 
@@ -56,6 +60,9 @@ def index_register_width(count: int) -> int:
 # uniform superposition over |1>..|M> (post-selected comparator circuit)
 # ---------------------------------------------------------------------------
 
+MAX_PREP_ATTEMPTS = 256
+
+
 @dataclass(frozen=True)
 class UniformPrepResult:
     """Outcome of the repeat-until-success uniform-superposition circuit."""
@@ -66,52 +73,28 @@ class UniformPrepResult:
     layout: RegisterLayout
 
 
-def prepare_uniform_superposition(
-    count: int,
-    rng: np.random.Generator,
-    max_attempts: int = 256,
-    cmp_method: str = "oracle",
-) -> UniformPrepResult:
-    """Produce (1/sqrt(M)) sum_{j=1..M} |j> by post-selection.
-
-    Circuit: Hadamards over the index register, an all-zero-controlled NOT
-    marking |0>, a comparator flagging values above M, then a measurement of
-    both flags. The (0,0) outcome, which occurs with probability M/2^m,
-    leaves the index register in the uniform state over 1..M; other outcomes
-    are discarded and the circuit is rerun.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
+def prepare_uniform_superposition(count: int, rng: np.random.Generator) -> UniformPrepResult:
+    """(1/sqrt(M)) sum_{j=1..M} |j>, the post-selected output of a circuit of
+    Hadamards over an m-qubit index register, a zero-controlled NOT flagging
+    |0> and a comparator flagging values above M. Both flags read 0 with
+    probability M/2^m, so an attempt is one uniform from ``rng`` kept below
+    M/2^m, rerun otherwise; ``layout`` records the circuit's registers."""
+    if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 1):
+        raise ValueError("count must be an integer of at least 1")
     m = index_register_width(count)
-    layout = RegisterLayout.build(index=m, bound=m, over=1, zero=1)
-    over_flag = layout["over"].offset
-    zero_flag = layout["zero"].offset
-
-    # the index register sits at offset 0 below the |count> bound
-    base = count << layout["bound"].offset
-    state = qsim.basis_state(layout.n_qubits, base)
-    for q in layout["index"].qubits:
-        state = qsim.apply_hadamard(state, q)
-    state = qsim.apply_multi_controlled(
-        state, [(q, 0) for q in layout["index"].qubits], zero_flag
-    )
-    state = qsim.apply_cmp(
-        state, layout["index"], layout["bound"], over_flag, method=cmp_method
-    )
-    success_probability = float(qsim.born_probabilities(state, (over_flag, 2))[0])
-    # the circuit is deterministic up to the measurement, so only that repeats
-    for attempt in range(1, max_attempts + 1):
-        outcome = qsim.measure(state, (over_flag, 2), rng)
-        if outcome.bits == 0:
-            index_amps = outcome.post_state.amplitudes[base : base + (1 << m)].copy()
+    success_probability = count / (1 << m)
+    for attempt in range(1, MAX_PREP_ATTEMPTS + 1):
+        if rng.random() < success_probability:
+            amps = np.zeros(1 << m, dtype=np.complex128)
+            amps[1 : count + 1] = 1.0 / math.sqrt(count)
             return UniformPrepResult(
-                state=StateVector(m, index_amps),
+                state=StateVector(m, amps),
                 attempts=attempt,
                 success_probability=success_probability,
-                layout=layout,
+                layout=RegisterLayout.build(index=m, bound=m, over=1, zero=1),
             )
     raise RuntimeError(
-        f"post-selection failed {max_attempts} times "
+        f"post-selection failed {MAX_PREP_ATTEMPTS} times "
         f"(success probability {success_probability:.3f})"
     )
 

@@ -21,6 +21,11 @@ modulation variance. The symplectic closed forms keep their transmittance
 factors explicit, so they consume z_cm^2 = Z^2/T internally; both
 conventions coincide at T = 1.
 
+The Fock space is truncated by one rule, applied by ``fock_magnitudes`` alone:
+the norm deficit 1 - sum_{n<D} c_n^2 of the returned amplitudes is at most
+1e-12. An automatic cutoff D is the first of 16, 20, ..., 512 that passes, and
+``build_tau`` reads D off the vector, so no cutoff fails its own check.
+
 For an N-PSK ring, <n|alpha_k> = c_n omega^{kn} with omega = e^{2 pi i/N}
 and c_n the Fock amplitudes of |alpha|, so tau is block-diagonal in n mod N
 and each block is rank one: tau = sum_r |u_r><u_r| with (u_r)_n = c_n for
@@ -147,37 +152,6 @@ def mutual_information(inputs: KeyRateInputs) -> float:
 # Fock-space machinery for the correlation term
 # ---------------------------------------------------------------------------
 
-def choose_fock_cutoff(amplitude: float) -> int:
-    """Smallest dimension keeping the coherent-state tail mass below 1e-12
-    (never less than 16, never more than 512)."""
-    mean = amplitude * amplitude
-    for cutoff, tail in candidate_tail_masses(mean):
-        if tail <= FOCK_TAIL_TOLERANCE:
-            return cutoff
-    raise KeyRateDomainError(f"no workable Fock cutoff for |alpha|^2 = {mean}")
-
-
-def candidate_tail_masses(mean_photons: float):
-    """(cutoff, ``coherent_tail_mass(mean_photons, cutoff)``) for cutoff =
-    16, 20, ..., 512, from one walk of the Poisson series."""
-    term = total = math.exp(-mean_photons)
-    for n in range(1, MAX_FOCK_CUTOFF):
-        term *= mean_photons / n
-        total += term
-        if n + 1 >= MIN_FOCK_CUTOFF and (n + 1) % 4 == 0:
-            yield n + 1, max(0.0, 1.0 - total)
-
-
-def coherent_tail_mass(mean_photons: float, cutoff: int) -> float:
-    """Probability mass of a Poisson(mean) distribution at or beyond cutoff."""
-    term = math.exp(-mean_photons)
-    total = term
-    for n in range(1, cutoff):
-        term *= mean_photons / n
-        total += term
-    return max(0.0, 1.0 - total)
-
-
 @lru_cache(maxsize=64)
 def _half_log_factorials(n_max: int) -> np.ndarray:
     """log(n!)/2 for n < n_max; built once per cutoff and read-only."""
@@ -186,33 +160,40 @@ def _half_log_factorials(n_max: int) -> np.ndarray:
     return table
 
 
-def fock_magnitudes(magnitude: float, n_max: int) -> np.ndarray:
-    """Real amplitudes e^{-r^2/2} r^n / sqrt(n!) of a coherent state, r >= 0, length
-    n_max; raises when the cutoff leaves a norm deficit above ``FOCK_TAIL_TOLERANCE``."""
-    if n_max < 1:
+def fock_magnitudes(magnitude: float, n_max: int | None = None) -> np.ndarray:
+    """Real amplitudes c_n = e^{-r^2/2} r^n / sqrt(n!) of a coherent state, r >= 0.
+    Given ``n_max``, the vector has that length and raises if its norm deficit
+    exceeds ``FOCK_TAIL_TOLERANCE``; otherwise it is the shortest passing prefix
+    of length 16, 20, ..., 512 of a 32-entry vector, doubled as needed. Both
+    running sums are sequential, so a prefix carries the bits of the shorter
+    vector and passes the explicit check at its own length."""
+    if n_max is not None and n_max < 1:
         raise ValueError("need at least the vacuum component")
     if not 0.0 <= magnitude < math.inf:  # NaN fails too
         raise KeyRateDomainError(f"|alpha| = {magnitude} is not non-negative and finite")
-    if magnitude > 0:
-        log_mag = np.arange(n_max) * np.log(magnitude)
-        amps = np.exp(-magnitude * magnitude / 2.0 + log_mag - _half_log_factorials(n_max))
-    else:
-        amps = np.eye(1, n_max)[0]
-    deficit = 1.0 - float(amps @ amps)
-    if deficit > FOCK_TAIL_TOLERANCE:
-        raise KeyRateDomainError(
-            f"Fock cutoff {n_max} leaves norm deficit {deficit:.2e} for |alpha| = {magnitude}"
-        )
-    return amps
-
-
-def coherent_state_fock(alpha: complex, n_max: int) -> np.ndarray:
-    """Number-basis amplitudes e^{-|a|^2/2} a^n / sqrt(n!), length n_max."""
-    magnitude = abs(alpha)
-    amps = fock_magnitudes(magnitude, n_max).astype(complex)
-    if alpha != magnitude:  # a phase other than 1; alpha = 0 has none
-        amps *= (alpha / magnitude) ** np.arange(n_max)
-    return amps
+    length = n_max or 2 * MIN_FOCK_CUTOFF
+    while True:
+        if magnitude > 0:
+            log_mag = np.arange(length) * np.log(magnitude)
+            amps = np.exp(-magnitude * magnitude / 2.0 + log_mag - _half_log_factorials(length))
+        else:
+            amps = np.eye(1, length)[0]
+        deficits = 1.0 - np.add.accumulate(amps * amps)
+        if n_max is not None:
+            if deficits[-1] > FOCK_TAIL_TOLERANCE:
+                raise KeyRateDomainError(
+                    f"Fock cutoff {n_max} leaves norm deficit {deficits[-1]:.2e} "
+                    f"for |alpha| = {magnitude}"
+                )
+            return amps
+        # a running sum of non-negative terms never decreases, so the
+        # failing candidate lengths are the leading ones
+        failing = np.count_nonzero(deficits[MIN_FOCK_CUTOFF - 1 :: 4] > FOCK_TAIL_TOLERANCE)
+        if MIN_FOCK_CUTOFF + 4 * failing <= length:
+            return amps[: MIN_FOCK_CUTOFF + 4 * failing]
+        if length == MAX_FOCK_CUTOFF:
+            raise KeyRateDomainError(f"no workable Fock cutoff for |alpha|^2 = {magnitude**2}")
+        length = min(2 * length, MAX_FOCK_CUTOFF)
 
 
 @lru_cache(maxsize=64)
@@ -263,9 +244,8 @@ def build_tau(constellation: Constellation, n_max: int | None = None) -> FockOpe
     zero or below at N = 16. Blocks with lambda_r at or below
     ``EIGENVALUE_FLOOR`` (and blocks with no Fock level below ``n_max``)
     lie outside the support."""
-    if n_max is None:
-        n_max = choose_fock_cutoff(constellation.amplitude)
     amplitudes = fock_magnitudes(constellation.amplitude, n_max)
+    n_max = amplitudes.size
     block, same_block, phases = _ring_tables(constellation.n_points, n_max)
     weights = np.bincount(block, weights=amplitudes * amplitudes)
     support = weights > EIGENVALUE_FLOOR

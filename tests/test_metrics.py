@@ -38,6 +38,22 @@ def test_confusion_rejects_empty_labels():
         metrics.confusion([], [], 2)
 
 
+@pytest.mark.parametrize(
+    "predicted, actual", [([1.9, 2.2], [1, 2]), ([1, 2], [1.0, 2.0]), ([1, 2], [True, False])]
+)
+def test_confusion_rejects_labels_that_are_not_integers(predicted, actual):
+    # [1.9, 2.2] used to be counted as the labels 1 and 2
+    with pytest.raises(ValueError, match="labels must be integers"):
+        metrics.confusion(predicted, actual, 2)
+
+
+def test_confusion_takes_integer_lists_and_numpy_integers():
+    expected = np.array([[1, 0], [1, 0]])
+    assert np.array_equal(metrics.confusion([1, 1], [1, 2], 2), expected)
+    predicted = np.array([1, 1], dtype=np.int64)
+    assert np.array_equal(metrics.confusion(predicted, [np.int64(1), 2], 2), expected)
+
+
 def test_precision_diagonal_matrix():
     per_class, average = metrics.precision_per_class(np.diag([5, 3, 9]))
     assert np.allclose(per_class, 1.0)
@@ -127,6 +143,15 @@ def test_roc_rejects_scores_outside_the_unit_interval(bad):
     scores[1, 0] = bad
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         metrics.roc_macro(scores, np.array([1, 2, 1, 2]), 2)
+
+
+@pytest.mark.parametrize("actual", [[1.7, 2.2], [1.0, 2.0], [True, False]])
+def test_roc_rejects_labels_that_are_not_integers(actual):
+    # [1.7, 2.2] used to give AUC 1.0 on these scores
+    scores = np.array([[0.9, 0.1], [0.2, 0.8]])
+    with pytest.raises(ValueError, match="labels must be integers"):
+        metrics.roc_macro(scores, actual, 2)
+    assert metrics.roc_macro(scores, np.array([1, 2], dtype=np.int64), 2).auc == 1.0
 
 
 def test_roc_rejects_single_class_truth():

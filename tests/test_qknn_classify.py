@@ -39,6 +39,25 @@ def test_training_set_rejects_non_finite_features(bad):
         TrainingSet.from_raw(np.array([[0.2, bad], [0.5, 0.5]]), [1, 2], n_classes=2)
 
 
+@pytest.mark.parametrize("labels", [[1.5, 2.7], [1.0, 2.0], [True, True], np.array([1, np.nan])])
+def test_training_set_rejects_labels_that_are_not_integers(labels):
+    # [1.5, 2.7] used to be stored as [1, 2]
+    features = RNG(0).uniform(size=(2, 2))
+    scaler = FeatureScaler(minimum=np.zeros(2), maximum=np.ones(2))
+    with pytest.raises(ValueError, match="labels must be integers"):
+        TrainingSet(features, labels, 2, scaler)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        TrainingSet.from_raw(features, labels, n_classes=2)
+
+
+def test_training_set_takes_integer_lists_and_numpy_integers():
+    features = RNG(0).uniform(size=(3, 2))
+    scaler = FeatureScaler(minimum=np.zeros(2), maximum=np.ones(2))
+    for labels in ([1, 2, 2], [np.int64(1), np.int64(2), 2], np.array([1, 2, 2], dtype=np.uint8)):
+        train = TrainingSet(features, labels, 2, scaler)
+        assert train.labels.dtype == int and train.labels.tolist() == [1, 2, 2]
+
+
 def test_training_set_arrays_are_read_only():
     # complement is derived from features once; a write to either would
     # leave the two out of step

@@ -23,6 +23,37 @@ RNG = np.random.default_rng
 # uniform superposition over |1>..|M>
 # ---------------------------------------------------------------------------
 
+def reference_uniform_prep(count: int, seeds, cmp_method: str = "oracle"):
+    """The gate-level circuit that the closed form stands for: |count> in a
+    bound register, Hadamards over the index register, an all-zero-controlled
+    NOT marking |0>, a comparator flagging values above the bound, then the
+    flag measurement repeated until both flags read 0. The circuit is built
+    once; per seed, (attempts, index-register amplitudes). Also returns the
+    Born probability of the (0, 0) outcome."""
+    m = index_register_width(count)
+    layout = qsim.RegisterLayout.build(index=m, bound=m, over=1, zero=1)
+    flags = (layout["over"].offset, 2)
+    base = count << layout["bound"].offset
+    state = qsim.basis_state(layout.n_qubits, base)
+    for q in layout["index"].qubits:
+        state = qsim.apply_hadamard(state, q)
+    state = qsim.apply_multi_controlled(
+        state, [(q, 0) for q in layout["index"].qubits], layout["zero"].offset
+    )
+    state = qsim.apply_cmp(
+        state, layout["index"], layout["bound"], layout["over"].offset, method=cmp_method
+    )
+    runs = []
+    for seed in seeds:
+        rng = RNG(seed)
+        for attempt in range(1, 257):
+            outcome = qsim.measure(state, flags, rng)
+            if outcome.bits == 0:
+                runs.append((attempt, outcome.post_state.amplitudes[base : base + (1 << m)]))
+                break
+    return runs, float(qsim.born_probabilities(state, flags)[0])
+
+
 def test_uniform_prep_m4():
     result = prepare_uniform_superposition(4, RNG(0))
     amps = result.state.amplitudes
@@ -30,17 +61,19 @@ def test_uniform_prep_m4():
     expected = np.zeros(8)
     expected[1:5] = 0.5
     assert np.abs(amps - expected).max() < 1e-12
-    assert result.success_probability == pytest.approx(4 / 8, abs=1e-12)
+    assert result.success_probability == 4 / 8
+    assert result.layout.n_qubits == 8  # index, bound, and the two flags
 
 
-# per-seed (0..19) attempts and amplitudes as recorded with a circuit rebuilt on every
-# attempt: building it once must leave the RNG draws and the state unchanged
+# per-seed (0..19) attempts as the circuit measured them, and the closed-form
+# amplitude 1/sqrt(M); the circuit's own bits differ in the last place
+# (0.5773502691896257, 0.4472135954999578 and 0.24999999999999992)
 UNIFORM_PREP_ATTEMPTS = {
     3: [1, 1, 1, 1, 2, 3, 1, 1, 1, 2, 2, 1, 1, 4, 2, 1, 1, 2, 1, 1],
     5: [2, 1, 1, 1, 2, 3, 1, 4, 1, 2, 2, 1, 1, 4, 2, 3, 1, 2, 1, 1],
     16: [2, 3, 1, 1, 4, 4, 2, 4, 1, 2, 2, 1, 1, 4, 2, 3, 2, 2, 1, 1],
 }
-UNIFORM_PREP_AMPLITUDE = {3: 0.5773502691896257, 5: 0.4472135954999578, 16: 0.24999999999999992}
+UNIFORM_PREP_AMPLITUDE = {3: 0.5773502691896258, 5: 0.4472135954999579, 16: 0.25}
 
 
 @pytest.mark.parametrize("count", sorted(UNIFORM_PREP_ATTEMPTS))
@@ -53,11 +86,27 @@ def test_uniform_prep_attempts_and_state_per_seed(count):
         assert np.array_equal(result.state.amplitudes, expected), seed
 
 
+def test_uniform_prep_matches_the_reference_circuit_seed_by_seed():
+    # one uniform per attempt, kept below M/2^m: the draw the flag
+    # measurement makes, so the attempts and the generator state agree
+    seeds = range(200)
+    for count in range(1, 41):
+        runs, success_probability = reference_uniform_prep(count, seeds)
+        result = prepare_uniform_superposition(count, RNG(0))
+        assert result.success_probability == pytest.approx(success_probability, abs=1e-15)
+        for seed, (attempts, amplitudes) in zip(seeds, runs):
+            rng = RNG(seed)
+            result = prepare_uniform_superposition(count, rng)
+            assert result.attempts == attempts, (count, seed)
+            assert np.abs(result.state.amplitudes - amplitudes).max() <= 1e-15, (count, seed)
+            assert rng.random() == RNG(seed).random(size=attempts + 1)[-1], (count, seed)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_uniform_prep_full_range_success_probability(m):
     count = (1 << m) - 1
     result = prepare_uniform_superposition(count, RNG(1))
-    assert result.success_probability == pytest.approx(count / (1 << m), abs=1e-12)
+    assert result.success_probability == count / (1 << m)
     expected = np.zeros(1 << m)
     expected[1:] = 1.0 / math.sqrt(count)
     assert np.abs(result.state.amplitudes - expected).max() < 1e-12
@@ -66,7 +115,7 @@ def test_uniform_prep_full_range_success_probability(m):
 def test_uniform_prep_single_item():
     result = prepare_uniform_superposition(1, RNG(2))
     assert np.abs(result.state.amplitudes - np.array([0.0, 1.0])).max() < 1e-12
-    assert result.success_probability == pytest.approx(0.5, abs=1e-12)
+    assert result.success_probability == 0.5
 
 
 def test_uniform_prep_attempts_are_recorded():
@@ -76,9 +125,27 @@ def test_uniform_prep_attempts_are_recorded():
 
 
 def test_uniform_prep_cascade_comparator_agrees():
-    a = prepare_uniform_superposition(5, RNG(3), cmp_method="oracle")
-    b = prepare_uniform_superposition(5, RNG(3), cmp_method="cascade")
-    assert np.abs(a.state.amplitudes - b.state.amplitudes).max() < 1e-12
+    # the reference circuit gives the same attempts and state with either
+    # comparator, and the closed form matches both
+    for count in (1, 5, 12):
+        oracle, _ = reference_uniform_prep(count, range(5), cmp_method="oracle")
+        cascade, _ = reference_uniform_prep(count, range(5), cmp_method="cascade")
+        for seed, ((a, state_a), (b, state_b)) in enumerate(zip(oracle, cascade)):
+            closed = prepare_uniform_superposition(count, RNG(seed))
+            assert a == b == closed.attempts, (count, seed)
+            assert np.abs(state_a - state_b).max() < 1e-15, (count, seed)
+            assert np.abs(state_b - closed.state.amplitudes).max() <= 1e-15, (count, seed)
+
+
+@pytest.mark.parametrize("count", [0, -2, 2.5, 3.0, True, False, "4", None])
+def test_uniform_prep_rejects_a_count_that_is_not_a_positive_integer(count):
+    with pytest.raises(ValueError, match="count must be an integer"):
+        prepare_uniform_superposition(count, RNG(0))
+
+
+def test_uniform_prep_accepts_a_numpy_integer_count():
+    result = prepare_uniform_superposition(np.int64(5), RNG(3))
+    assert result.attempts == prepare_uniform_superposition(5, RNG(3)).attempts
 
 
 # ---------------------------------------------------------------------------

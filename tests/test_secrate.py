@@ -207,91 +207,122 @@ def coherent_state_fock_reference(alpha: complex, n_max: int) -> np.ndarray:
     return amps
 
 
+def coherent_tail_mass_reference(mean_photons: float, cutoff: int) -> float:
+    """Probability mass of a Poisson(mean) distribution at or beyond cutoff,
+    from the series walked term by term: the tail that the amplitudes' norm
+    deficit stands for, summed another way."""
+    term = total = math.exp(-mean_photons)
+    for n in range(1, cutoff):
+        term *= mean_photons / n
+        total += term
+    return max(0.0, 1.0 - total)
+
+
+def poisson_fock_cutoff(mean_photons: float) -> int:
+    """First cutoff of 16, 20, ..., 512 whose Poisson tail is at most 1e-12."""
+    return next(
+        c for c in range(16, 513, 4) if coherent_tail_mass_reference(mean_photons, c) <= 1e-12
+    )
+
+
 @pytest.mark.parametrize("n_max", [1, 16, 20, 32, 64])
 def test_shared_kernel_matches_the_per_call_amplitudes(n_max):
     for mean in (0.0, 1e-20, 1e-6, 0.01, 0.1, 0.5, 1.0, 3.0, 6.0):
         magnitude = math.sqrt(mean)
+        reference = coherent_state_fock_reference(magnitude, n_max)
+        assert np.abs(reference.imag).max() == 0.0
         try:
-            reference = coherent_state_fock_reference(magnitude, n_max)
             amps = secrate.fock_magnitudes(magnitude, n_max)
         except secrate.KeyRateDomainError:
-            assert secrate.coherent_tail_mass(mean, n_max) > 1e-12, (mean, n_max)
+            assert coherent_tail_mass_reference(mean, n_max) > 1e-12, (mean, n_max)
             continue
         assert amps.dtype == np.float64
         assert np.abs(amps - reference.real).max() <= 1e-15, (mean, n_max)
-        assert np.abs(reference.imag).max() == 0.0
-        for phase in (1.0, -1.0, 1j, np.exp(0.7j)):
-            alpha = magnitude * phase
-            expected = coherent_state_fock_reference(alpha, n_max)
-            assert np.abs(secrate.coherent_state_fock(alpha, n_max) - expected).max() <= 1e-15
+
+
+@pytest.mark.parametrize("mean", [0.0, 1e-20, 0.1, 1.0, 6.0, 30.0, 120.0])
+def test_automatic_amplitudes_are_a_prefix_of_every_longer_vector(mean):
+    magnitude = math.sqrt(mean)
+    amps = secrate.fock_magnitudes(magnitude)
+    for longer in (amps.size + 4, 256, 512):
+        assert np.array_equal(secrate.fock_magnitudes(magnitude, longer)[: amps.size], amps)
+    reference = coherent_state_fock_reference(magnitude, amps.size)
+    assert np.abs(amps - reference.real).max() <= 1e-15
 
 
 @pytest.mark.parametrize(
-    "kernel,magnitude",
-    [
-        (secrate.fock_magnitudes, -1.0),
-        (secrate.fock_magnitudes, math.nan),
-        (secrate.fock_magnitudes, math.inf),
-        (secrate.coherent_state_fock, math.inf),
-        (secrate.coherent_state_fock, complex(math.nan, 1.0)),
-    ],
-    ids=["magnitudes-negative", "magnitudes-nan", "magnitudes-inf", "state-inf", "state-nan"],
+    "magnitude,n_max",
+    [(m, n) for n in (20, None) for m in (-1.0, math.nan, math.inf)],
+    ids=[f"{mode}-{kind}" for mode in ("magnitudes", "auto") for kind in ("negative", "nan", "inf")],
 )
-def test_fock_amplitudes_reject_a_bad_magnitude(kernel, magnitude):
+def test_fock_amplitudes_reject_a_bad_magnitude(magnitude, n_max):
     # a negative or NaN magnitude used to give the vacuum, which passes the
     # norm check, and an infinite one NaN amplitudes
     with pytest.raises(secrate.KeyRateDomainError, match="non-negative and finite"):
-        kernel(magnitude, 20)
+        secrate.fock_magnitudes(magnitude, n_max)
 
 
 def test_vacuum_fock_amplitudes():
-    amps = secrate.coherent_state_fock(0.0, 8)
-    assert np.abs(amps - np.eye(8)[0]).max() == 0.0
+    assert np.array_equal(secrate.fock_magnitudes(0.0, 8), np.eye(8)[0])
+    assert np.array_equal(secrate.fock_magnitudes(0.0), np.eye(16)[0])
 
 
 def test_fock_norm_deficit_small_at_cutoff_20():
-    amps = secrate.coherent_state_fock(math.sqrt(0.165), 20)
-    deficit = 1.0 - float(np.vdot(amps, amps).real)
+    amps = secrate.fock_magnitudes(math.sqrt(0.165), 20)
+    deficit = 1.0 - float(amps @ amps)
     # independent tail bound: Poisson mass beyond the cutoff
-    tail = secrate.coherent_tail_mass(0.165, 20)
+    tail = coherent_tail_mass_reference(0.165, 20)
     assert deficit <= tail + 1e-15
     assert deficit < 1e-12
 
 
 def test_fock_mean_photon_number():
-    alpha = 0.3 + 0.4j
+    magnitude = abs(0.3 + 0.4j)
     n_max = 24
-    amps = secrate.coherent_state_fock(alpha, n_max)
-    number = np.arange(n_max)
-    mean = float((np.abs(amps) ** 2 * number).sum())
-    assert mean == pytest.approx(abs(alpha) ** 2, abs=1e-10)
+    amps = secrate.fock_magnitudes(magnitude, n_max)
+    mean = float((amps**2 * np.arange(n_max)).sum())
+    assert mean == pytest.approx(magnitude**2, abs=1e-10)
 
 
 def test_fock_insufficient_cutoff_raises():
-    with pytest.raises(secrate.KeyRateDomainError):
-        secrate.coherent_state_fock(2.0, 4)
-
-
-def test_candidate_tails_equal_the_tail_mass_of_each_cutoff():
-    # the one-pass walk reads the same partial sums as a fresh summation
-    for vm in SCAN_MODULATION_VARIANCES:
-        mean = vm / 2.0
-        tails = list(secrate.candidate_tail_masses(mean))
-        assert [cutoff for cutoff, _ in tails] == list(range(16, 513, 4))
-        for cutoff, tail in tails:
-            assert tail == secrate.coherent_tail_mass(mean, cutoff), (vm, cutoff)
+    with pytest.raises(secrate.KeyRateDomainError, match="norm deficit"):
+        secrate.fock_magnitudes(2.0, 4)
 
 
 def test_fock_cutoff_is_the_first_candidate_below_tolerance():
+    # on the scan grid the deficit read from the amplitudes and the Poisson
+    # tail cross 1e-12 at the same candidate
     for vm in SCAN_MODULATION_VARIANCES:
         mean = vm / 2.0
-        first = next(c for c in range(16, 513, 4) if secrate.coherent_tail_mass(mean, c) <= 1e-12)
-        assert secrate.choose_fock_cutoff(math.sqrt(mean)) == first
+        assert secrate.fock_magnitudes(math.sqrt(mean)).size == poisson_fock_cutoff(mean), vm
+
+
+def test_automatic_cutoff_passes_its_own_explicit_check_on_a_dense_grid():
+    # a Poisson walk used to pick the cutoff and the amplitudes' deficit to
+    # check it; the two sums round apart near 1e-12, and 789 of these values
+    # got a cutoff that the check then refused
+    for i, mean in enumerate(np.linspace(0.012, 240.0, 20_000)):
+        magnitude = math.sqrt(mean)
+        amps = secrate.fock_magnitudes(magnitude)
+        assert amps.size in range(16, 513, 4), mean
+        assert np.array_equal(secrate.fock_magnitudes(magnitude, amps.size), amps), mean
+        if i % 10 == 0 and amps.size > 16:
+            with pytest.raises(secrate.KeyRateDomainError, match="norm deficit"):
+                secrate.fock_magnitudes(magnitude, amps.size - 4)
+
+
+@pytest.mark.parametrize("vm", [20.204, 20.205, 24.03, 24.032, 36.457])
+def test_key_rate_is_finite_where_the_two_tail_sums_disagreed(vm):
+    # each of these V_m used to raise "norm deficit" from key_rate
+    for order in (4, 8):
+        for scheme in ("conventional", "qknn"):
+            rate = secrate.key_rate(make_inputs(vm=vm, n=order), scheme).key_rate
+            assert math.isfinite(rate), (order, scheme)
 
 
 def test_fock_cutoff_search_stops_at_512():
     with pytest.raises(secrate.KeyRateDomainError, match="no workable Fock cutoff"):
-        secrate.choose_fock_cutoff(math.sqrt(400.0))
+        secrate.fock_magnitudes(math.sqrt(400.0))
 
 
 def eigh_build_tau(constellation: Constellation, n_max: int | None = None):
@@ -299,9 +330,9 @@ def eigh_build_tau(constellation: Constellation, n_max: int | None = None):
     the matrix functions by eigendecomposition (eigenvalues at or below the
     floor are zeroed; the inverse square root acts on the support only)."""
     if n_max is None:
-        n_max = secrate.choose_fock_cutoff(constellation.amplitude)
+        n_max = poisson_fock_cutoff(constellation.amplitude**2)
     points = constellation.points
-    vectors = np.stack([secrate.coherent_state_fock(complex(a), n_max) for a in points])
+    vectors = np.stack([coherent_state_fock_reference(complex(a), n_max) for a in points])
     tau = (vectors.conj()[:, None, :] * vectors[:, :, None]).sum(axis=0) / points.size
     assert abs(1.0 - float(np.trace(tau).real)) < 1e-10
     eigenvalues, basis = np.linalg.eigh(tau)
@@ -421,7 +452,7 @@ def test_caches_hold_one_entry_per_cutoff_or_ring():
                 inputs = make_inputs(vm=vm, loss_db=loss_db, n=order, auc=0.9)
                 for scheme in ("conventional", "qknn"):
                     secrate.key_rate(inputs, scheme)
-            cutoff = secrate.choose_fock_cutoff(inputs.coherent_amplitude)
+            cutoff = secrate.fock_magnitudes(inputs.coherent_amplitude).size
             cutoffs.add(cutoff)
             rings.add((order, cutoff))
     assert len(cutoffs) < len(SCAN_MODULATION_VARIANCES)
@@ -493,7 +524,7 @@ def test_discrete_correlation_stays_below_gaussian_bound():
 
 def test_fock_cutoff_convergence():
     inputs = make_inputs(vm=0.38)
-    auto = secrate.choose_fock_cutoff(inputs.coherent_amplitude)
+    auto = secrate.build_tau(inputs.constellation).n_max
     z_auto, _ = secrate.correlation_term(
         inputs, secrate.build_tau(inputs.constellation, auto)
     )
@@ -619,7 +650,7 @@ def psk_block_spectrum(order: int, vm: float) -> np.ndarray:
     A sum of positive terms, unlike the DFT of exp(|alpha|^2 omega^l), which
     cancels to zero or below for small V_m at N = 16."""
     mean = vm / 2.0
-    n = np.arange(secrate.choose_fock_cutoff(math.sqrt(mean)))
+    n = np.arange(poisson_fock_cutoff(mean))
     log_fact = np.array([math.lgamma(m + 1.0) for m in n])
     weights = np.exp(-mean + n * math.log(mean) - log_fact)
     return np.bincount(n % order, weights=weights, minlength=order), weights
