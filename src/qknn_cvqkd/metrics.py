@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qknn.dataset import checked_labels
 from .qknn.similarity import required_iterations as estimation_iteration_count
 
 
@@ -26,14 +27,8 @@ def confusion(predicted, actual, n_classes: int) -> np.ndarray:
     actual = np.asarray(actual)
     if predicted.shape != actual.shape:
         raise ValueError(f"length mismatch: {predicted.shape} vs {actual.shape}")
-    if actual.size == 0:
-        raise ValueError("confusion needs at least one label")
-    if predicted.dtype.kind not in "iu" or actual.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integers, got {predicted} and {actual}")
-    if predicted.min() < 1 or predicted.max() > n_classes:
-        raise ValueError(f"predicted labels outside 1..{n_classes}")
-    if actual.min() < 1 or actual.max() > n_classes:
-        raise ValueError(f"actual labels outside 1..{n_classes}")
+    checked_labels(predicted, n_classes)
+    checked_labels(actual, n_classes)
     matrix = np.zeros((n_classes, n_classes), dtype=int)
     np.add.at(matrix, (actual - 1, predicted - 1), 1)
     return matrix
@@ -99,8 +94,7 @@ def roc_macro(scores: np.ndarray, actual, n_classes: int) -> RocCurve:
     actual = np.asarray(actual)
     if scores.ndim != 2 or scores.shape != (actual.size, n_classes):
         raise ValueError("scores must be (n_samples, n_classes)")
-    if actual.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integers, got {actual}")
+    checked_labels(actual, n_classes)
     if not (scores.min() >= -1e-9 and scores.max() <= 1 + 1e-9):  # NaN fails too
         raise ValueError("scores must lie in [0, 1]")
     present = np.unique(actual)

@@ -2,28 +2,26 @@
 heterodyne detection and distance features.
 
 Conventions (shot-noise units, vacuum quadrature variance 1):
-- a coherent state of complex amplitude alpha has detected quadrature means
+- a coherent state of complex amplitude alpha has quadrature means
   (2*Re alpha, 2*Im alpha), so the constellation radius alpha = sqrt(Vm/2)
   gives modulation variance Vm per quadrature and total variance V = Vm + 1;
-- the heterodyne outcome for each quadrature is Gaussian with variance
-  (2 + eta*T*excess + 2*v_el)/2 around the attenuated, rotated mean: one
-  vacuum unit, the heterodyne unit, channel excess noise referred to the
-  input, and electronic noise;
-- phase drift is a constant offset plus zero-mean Gaussian jitter per pulse.
+- the channel and detector pass the fraction eta*T of the power, so the
+  detected means are 2*sqrt(eta*T)*alpha;
+- each detected quadrature is Gaussian around its mean with the variance
+  ``ChannelModel.quadrature_noise_variance``.
 
-Feature vectors are the Euclidean distances from a measured point to the
-noiseless detected means of the constellation (receiver-side references:
-attenuation and the deterministic phase offset applied, jitter not).
+The model has no phase noise: the receiver's references are the detected
+means themselves. Feature vectors are the Euclidean distances from a
+measured point to the detected means of the constellation.
 """
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qknn.dataset import TrainingSet
+from .qknn.dataset import TrainingSet, is_positive_integer
 
 
 @dataclass(frozen=True)
@@ -34,8 +32,7 @@ class Constellation:
     modulation_variance: float
 
     def __post_init__(self):
-        n = self.n_points
-        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+        if not is_positive_integer(self.n_points):
             raise ValueError("constellation needs an integer number of points, at least one")
         if not 0.0 < self.modulation_variance < math.inf:  # NaN fails too
             raise ValueError("modulation variance must be positive and finite")
@@ -59,8 +56,6 @@ class ChannelModel:
     excess_noise: float = 0.0
     detector_efficiency: float = 1.0
     electronic_noise: float = 0.0
-    phase_offset: float = 0.0
-    phase_jitter_std: float = 0.0
 
     def __post_init__(self):
         # each test is a negated in-range comparison, so NaN fails it too
@@ -70,8 +65,6 @@ class ChannelModel:
             raise ValueError("noise parameters must be non-negative and finite")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError("detector efficiency must lie in (0, 1]")
-        if not (0.0 <= self.phase_jitter_std < math.inf and math.isfinite(self.phase_offset)):
-            raise ValueError("phase jitter must be non-negative and phases finite")
 
     @property
     def loss_db(self) -> float:
@@ -83,39 +76,35 @@ class ChannelModel:
 
     @property
     def quadrature_noise_variance(self) -> float:
+        """(2 + eta*T*xi + 2*v_el)/2 per quadrature: half the heterodyne
+        variance 2 + eta*T*xi + 2*v_el that ``secrate`` assumes, so the
+        samples carry twice the SNR of the rate formulas (ROADMAP.md
+        item 4)."""
         eta_t = self.detector_efficiency * self.transmittance
         return (2.0 + eta_t * self.excess_noise + 2.0 * self.electronic_noise) / 2.0
 
-def detected_mean(amplitude: complex, channel: ChannelModel) -> tuple[float, float]:
-    """Noiseless detected quadrature means after loss, efficiency and the
-    deterministic phase offset."""
-    scale = math.sqrt(channel.detector_efficiency * channel.transmittance)
-    rotated = amplitude * np.exp(1j * channel.phase_offset)
-    return 2.0 * scale * rotated.real, 2.0 * scale * rotated.imag
+
+def detected_means(amplitudes: np.ndarray, channel: ChannelModel) -> tuple[np.ndarray, np.ndarray]:
+    """Noiseless detected quadrature means (x, p) = 2*sqrt(eta*T)*alpha."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    gain = 2.0 * math.sqrt(channel.detector_efficiency * channel.transmittance)
+    return gain * amplitudes.real, gain * amplitudes.imag
 
 
 def transmit_and_detect_batch(
     amplitudes: np.ndarray, channel: ChannelModel, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized channel + heterodyne sampling."""
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    scale = math.sqrt(channel.detector_efficiency * channel.transmittance)
-    phase = channel.phase_offset
-    if channel.phase_jitter_std > 0:
-        phase = phase + rng.normal(0.0, channel.phase_jitter_std, size=amplitudes.shape)
-    rotated = amplitudes * np.exp(1j * phase)
+    x, p = detected_means(amplitudes, channel)
     sigma = math.sqrt(channel.quadrature_noise_variance)
-    x = 2.0 * scale * rotated.real + rng.normal(0.0, sigma, size=amplitudes.shape)
-    p = 2.0 * scale * rotated.imag + rng.normal(0.0, sigma, size=amplitudes.shape)
+    x += rng.normal(0.0, sigma, size=x.shape)
+    p += rng.normal(0.0, sigma, size=p.shape)
     return x, p
 
 
 def reference_points(constellation: Constellation, channel: ChannelModel) -> np.ndarray:
     """(N, 2) noiseless detected means of the standard constellation states."""
-    refs = np.empty((constellation.n_points, 2))
-    for k in range(constellation.n_points):
-        refs[k] = detected_mean(complex(constellation.points[k]), channel)
-    return refs
+    return np.stack(detected_means(constellation.points, channel), axis=1)
 
 
 def _features_batch(x: np.ndarray, p: np.ndarray, refs: np.ndarray) -> np.ndarray:

@@ -12,11 +12,11 @@ from .encoding import (
     EncodingError,
     UniformPrepResult,
     fidelity_to_rows,
-    index_register_width,
     prepare_query_state,
     prepare_training_row_state,
     prepare_training_state,
     prepare_uniform_superposition,
+    qubits_for,
 )
 from .search import (
     GroverRunReport,
@@ -53,7 +53,6 @@ __all__ = [
     "compute_similarity_table",
     "estimation_error_bound",
     "fidelity_to_rows",
-    "index_register_width",
     "k_maximal_find",
     "knn_predict_batch",
     "majority_vote",
@@ -62,6 +61,7 @@ __all__ = [
     "prepare_training_state",
     "prepare_uniform_superposition",
     "qknn_predict",
+    "qubits_for",
     "required_iterations",
     "swap_test_probability",
 ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TrainingSet
+from .dataset import TrainingSet, checked_labels
 from .encoding import fidelity_to_rows
 from .search import KMaximalReport, k_maximal_find
 from .similarity import SimilarityTable, compute_similarity_table
@@ -80,13 +80,7 @@ def _vote(neighbor_labels: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.n
 
 def majority_vote(labels) -> int:
     """Modal 1-based label; ties resolve to the lowest label value."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("majority vote over no labels")
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integers, got {labels}")
-    if labels.min() < 1:
-        raise ValueError("labels must be 1-based")
+    labels = checked_labels(labels)
     # label 0 counts nothing, so argmax is the lowest label of the top count
     return int(np.bincount(labels.astype(int)).argmax())
 

@@ -1,4 +1,5 @@
-"""Labeled feature-vector datasets and the normalization they carry.
+"""Labeled feature-vector datasets, the normalization they carry, and the
+input rules every stage shares: positive integers and 1-based labels.
 
 Feature normalization is per-feature min-max scaling fitted on the training
 set; queries transformed through the same scaler are clamped to [0, 1] so
@@ -6,9 +7,30 @@ every encoded amplitude stays a valid rotation argument.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def is_positive_integer(value) -> bool:
+    """An integer of at least 1; numpy integers pass, bool does not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+def checked_labels(labels, n_classes: int | None = None) -> np.ndarray:
+    """``labels`` as an array of integer, 1-based class labels, each at most
+    ``n_classes`` when that is given; raises ``ValueError`` otherwise."""
+    labels = np.asarray(labels)
+    if labels.size == 0:
+        raise ValueError("need at least one label")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {labels}")
+    if labels.min() < 1:
+        raise ValueError("labels must be 1-based")
+    if n_classes is not None and labels.max() > n_classes:
+        raise ValueError(f"labels must lie in 1..{n_classes}")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -55,10 +77,7 @@ class TrainingSet:
             raise ValueError("training set is empty")
         if not (features.min() >= -1e-12 and features.max() <= 1 + 1e-12):  # NaN fails too
             raise ValueError("normalized features must lie in [0, 1]")
-        if labels.dtype.kind not in "iu":
-            raise ValueError(f"labels must be integers, got {labels}")
-        if labels.min() < 1 or labels.max() > n_classes:
-            raise ValueError(f"labels must lie in 1..{n_classes}")
+        checked_labels(labels, n_classes)
         self.features = np.clip(features, 0.0, 1.0)
         self.complement = np.sqrt(1.0 - self.features**2)
         self.labels = labels.astype(int)  # a copy: it is made read-only below

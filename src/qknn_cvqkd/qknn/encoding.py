@@ -17,10 +17,10 @@ register. On hardware the values would be loaded by a QRAM-style oracle
 (Giovannetti, Lloyd and Maccone, PRL 100, 160501, 2008) that writes the rank
 of v_ji among the distinct feature values into a scratch register, a
 rank-controlled RY, and the inverse oracle, which returns the scratch
-register to |0>. ``strip_scratch=False`` reserves that register: the state
-is tensored with |0> on a ``scratch`` span of ceil(log2(#distinct values))
-qubits (at least one) above the data registers, so the layout reports the
-width the oracle needs.
+register to |0>. ``prepare_training_state(strip_scratch=False)`` reserves
+that register: the state is tensored with |0> on a ``scratch`` span of
+ceil(log2(#distinct values)) qubits (at least one) above the data
+registers, so the layout reports the width the oracle needs.
 
 The uniform superposition over |1>..|M> is written in closed form too: its
 post-selection circuit succeeds with probability M/2^m and then leaves exactly
@@ -29,13 +29,12 @@ post-selection circuit succeeds with probability M/2^m and then leaves exactly
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..qsim import RegisterLayout, StateVector
-from .dataset import TrainingSet
+from .dataset import TrainingSet, is_positive_integer
 
 
 class EncodingError(ValueError):
@@ -51,9 +50,10 @@ def _check_unit_range(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def index_register_width(count: int) -> int:
-    """Width needed to hold the 1-based kets |1>..|count>."""
-    return max(1, math.ceil(math.log2(count + 1)))
+def qubits_for(values: int) -> int:
+    """ceil(log2 values), at least 1: the qubits that hold ``values`` values,
+    in exact integer arithmetic (``int`` first: numpy integers lack it)."""
+    return max(1, int(values - 1).bit_length())
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +79,9 @@ def prepare_uniform_superposition(count: int, rng: np.random.Generator) -> Unifo
     |0> and a comparator flagging values above M. Both flags read 0 with
     probability M/2^m, so an attempt is one uniform from ``rng`` kept below
     M/2^m, rerun otherwise; ``layout`` records the circuit's registers."""
-    if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 1):
+    if not is_positive_integer(count):
         raise ValueError("count must be an integer of at least 1")
-    m = index_register_width(count)
+    m = qubits_for(count + 1)
     success_probability = count / (1 << m)
     for attempt in range(1, MAX_PREP_ATTEMPTS + 1):
         if rng.random() < success_probability:
@@ -119,11 +119,11 @@ def _encode(features: np.ndarray, with_index: bool, strip_scratch: bool) -> Enco
     features = _check_unit_range(np.atleast_2d(features))
     m_count, u_count = features.shape
 
-    names = {"amplitude": 1, "marker": 1, "feature": index_register_width(u_count)}
+    names = {"amplitude": 1, "marker": 1, "feature": qubits_for(u_count + 1)}
     if with_index:
-        names["index"] = index_register_width(m_count)
+        names["index"] = qubits_for(m_count + 1)
     if not strip_scratch:
-        names["scratch"] = math.ceil(math.log2(max(np.unique(features).size, 2)))
+        names["scratch"] = qubits_for(np.unique(features).size)
     layout = RegisterLayout.build(**names)
 
     j, i = np.meshgrid(np.arange(1, m_count + 1), np.arange(1, u_count + 1), indexing="ij")
@@ -144,12 +144,12 @@ def prepare_training_state(train: TrainingSet | np.ndarray, strip_scratch: bool 
     return _encode(features, with_index=True, strip_scratch=strip_scratch)
 
 
-def prepare_query_state(query: np.ndarray, strip_scratch: bool = True) -> EncodedState:
+def prepare_query_state(query: np.ndarray) -> EncodedState:
     """Amplitude-encoded state of one feature vector (no index register)."""
     query = np.asarray(query, dtype=float)
     if query.ndim != 1:
         raise EncodingError("query must be a single feature vector")
-    return _encode(query[None, :], with_index=False, strip_scratch=strip_scratch)
+    return _encode(query[None, :], with_index=False, strip_scratch=True)
 
 
 def prepare_training_row_state(train: TrainingSet | np.ndarray, row: int) -> EncodedState:

@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .encoding import qubits_for
 from .similarity import SimilarityTable
 
 BOUND_GROWTH = 6.0 / 5.0  # geometric growth of the unknown-t iteration bound
@@ -157,7 +158,7 @@ def _rank_search(
         # values ascend, as searchsorted needs
         ranked = -values[order]
         first_of_value = ranked.searchsorted(ranked).tolist()
-        space = 1 << max(1, math.ceil(math.log2(count)))
+        space = 1 << qubits_for(count)
     else:
         first_of_value, space = None, count
     caps = _iteration_caps(space)

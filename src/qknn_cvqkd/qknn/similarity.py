@@ -67,7 +67,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .dataset import TrainingSet
-from .encoding import EncodingError, fidelity_to_rows
+from .encoding import EncodingError, fidelity_to_rows, qubits_for
 
 
 def swap_test_probability(fidelity) -> np.ndarray | float:
@@ -174,7 +174,7 @@ def _estimate_amplitudes(amplitudes, iterations: int):
         raise ValueError(f"amplitudes must lie in [0, 1], got {amplitudes[~in_range]}")
     if iterations < 1:
         raise ValueError("need at least one operator iteration")
-    grid = 1 << max(1, math.ceil(math.log2(iterations)))
+    grid = 1 << qubits_for(iterations)
 
     phase = np.arcsin(np.sqrt(np.clip(amplitudes, 0.0, 1.0))) / np.pi
     folded = _folded_modes(phase, grid)
@@ -233,7 +233,7 @@ class SimilarityTable:
 
     @property
     def register_width(self) -> int:
-        return max(1, math.ceil(math.log2(max(self.size, 2))))
+        return qubits_for(self.size)
 
     @cached_property
     def ideal_p_zero(self) -> np.ndarray:

@@ -21,10 +21,6 @@ class Span(NamedTuple):
     def qubits(self) -> range:
         return range(self.offset, self.offset + self.width)
 
-    @property
-    def mask(self) -> int:
-        return ((1 << self.width) - 1) << self.offset
-
     def value_of(self, basis_index: int) -> int:
         return (basis_index >> self.offset) & ((1 << self.width) - 1)
 

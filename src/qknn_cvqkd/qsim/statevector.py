@@ -2,7 +2,7 @@
 
 Design notes:
 - Amplitudes are a dense complex128 array of length ``2**n_qubits``; the
-  default cap of 24 qubits keeps a single state under 256 MiB.
+  cap of 24 qubits (``DEFAULT_QUBIT_CAP``) keeps a single state under 256 MiB.
 - Qubit 0 is the least significant bit of the basis index (little-endian).
 - Every operation is a pure function: the input state is never mutated and a
   fresh ``StateVector`` is returned.
@@ -27,7 +27,7 @@ _X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 
 class ResourceError(RuntimeError):
-    """Raised when a requested register exceeds the configured qubit cap."""
+    """Raised when a requested register exceeds the qubit cap."""
 
 
 class StateCorruptionError(RuntimeError):
@@ -85,22 +85,22 @@ def _wrap(state: StateVector, amplitudes: np.ndarray) -> StateVector:
     return new
 
 
-def new_register(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def new_register(n_qubits: int) -> StateVector:
     """Allocate ``n_qubits`` qubits initialized to the all-zeros basis state."""
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    if n_qubits > cap:
+    if n_qubits > DEFAULT_QUBIT_CAP:
         raise ResourceError(
             f"{n_qubits} qubits need a 2^{n_qubits}-amplitude array "
-            f"({(1 << n_qubits) * 16 / 2**30:.1f} GiB); cap is {cap} qubits"
+            f"({(1 << n_qubits) * 16 / 2**30:.1f} GiB); cap is {DEFAULT_QUBIT_CAP} qubits"
         )
     amplitudes = np.zeros(1 << n_qubits, dtype=np.complex128)
     amplitudes[0] = 1.0
     return StateVector(n_qubits, amplitudes)
 
 
-def basis_state(n_qubits: int, value: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
-    state = new_register(n_qubits, cap)
+def basis_state(n_qubits: int, value: int) -> StateVector:
+    state = new_register(n_qubits)
     if not 0 <= value < state.dim:
         raise ValueError(f"basis value {value} outside {n_qubits}-qubit register")
     amplitudes = np.zeros(state.dim, dtype=np.complex128)

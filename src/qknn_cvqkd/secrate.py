@@ -47,13 +47,13 @@ much faster pass reads a higher peak RSS (ROADMAP.md items 1 and 3).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .optics import Constellation
+from .qknn.dataset import is_positive_integer
 
 FOCK_TAIL_TOLERANCE = 1e-12
 MIN_FOCK_CUTOFF = 16
@@ -91,11 +91,11 @@ class KeyRateInputs:
             raise KeyRateDomainError("detector efficiency must lie in (0, 1]")
         if not 0.0 < self.reconciliation_efficiency <= 1.0:
             raise KeyRateDomainError("reconciliation efficiency must lie in (0, 1]")
-        if not _is_positive_integer(self.psk_order):
+        if not is_positive_integer(self.psk_order):
             raise KeyRateDomainError("PSK order must be an integer of at least 1")
         if not 0.0 <= self.classifier_auc <= 1.0:
             raise KeyRateDomainError("classifier AUC must lie in [0, 1]")
-        if self.fock_cutoff is not None and not _is_positive_integer(self.fock_cutoff):
+        if self.fock_cutoff is not None and not is_positive_integer(self.fock_cutoff):
             raise KeyRateDomainError("Fock cutoff must be None or an integer of at least 1")
 
     @property
@@ -104,21 +104,11 @@ class KeyRateInputs:
         return self.modulation_variance + 1.0
 
     @property
-    def coherent_amplitude(self) -> float:
-        """|alpha| = sqrt(V_m/2)."""
-        return math.sqrt(self.modulation_variance / 2.0)
-
-    @property
     def constellation(self) -> Constellation:
         return Constellation(self.psk_order, self.modulation_variance)
 
     def at_loss_db(self, loss_db: float) -> "KeyRateInputs":
         return replace(self, transmittance=10.0 ** (-loss_db / 10.0))
-
-
-def _is_positive_integer(value) -> bool:
-    """An integer of at least 1; numpy integers pass, bool does not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 def channel_added_noise(inputs: KeyRateInputs) -> float:

@@ -1,12 +1,13 @@
-"""Every public name of ``qsim``, ``qknn`` and ``secrate`` has a caller: the
-package itself, the benchmark, or a named test that uses it as a reference."""
+"""Every public name of ``qsim``, ``qknn``, ``optics`` and ``secrate`` has a
+caller: the package itself, the benchmark, or a named test that uses it as a
+reference."""
 import ast
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from qknn_cvqkd import qknn, qsim, secrate
+from qknn_cvqkd import optics, qknn, qsim, secrate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,8 +64,8 @@ def _public_top_level_names(module) -> list[str]:
 
 @pytest.mark.parametrize(
     "names",
-    [qsim.__all__, qknn.__all__, _public_top_level_names(secrate)],
-    ids=["qsim", "qknn", "secrate"],
+    [qsim.__all__, qknn.__all__, _public_top_level_names(optics), _public_top_level_names(secrate)],
+    ids=["qsim", "qknn", "optics", "secrate"],
 )
 def test_every_export_has_a_caller(names):
     referenced = _package_and_bench_references()

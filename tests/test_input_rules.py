@@ -1,0 +1,160 @@
+"""The rules several stages share, each checked at every entry point that
+applies it: positive integers, 1-based labels and register widths, plus the
+one description of the channel that the samples and the key rate read."""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from qknn_cvqkd import metrics, optics, secrate
+from qknn_cvqkd.qknn import (
+    FeatureScaler,
+    SimilarityTable,
+    TrainingSet,
+    amplitude_estimate,
+    majority_vote,
+    prepare_training_state,
+    prepare_uniform_superposition,
+    qubits_for,
+)
+
+RNG = np.random.default_rng
+
+RATE_INPUTS = dict(
+    modulation_variance=0.38, transmittance=0.5, excess_noise=0.01, detector_efficiency=0.6,
+    electronic_noise=0.05, reconciliation_efficiency=0.98, psk_order=8,
+)
+
+# ---------------------------------------------------------------------------
+# positive integers
+# ---------------------------------------------------------------------------
+
+POSITIVE_INTEGER_ENTRY_POINTS = {
+    "Constellation": lambda n: optics.Constellation(n, 1.0).n_points,
+    "KeyRateInputs.psk_order": lambda n: secrate.KeyRateInputs(
+        **{**RATE_INPUTS, "psk_order": n}
+    ).psk_order,
+    "KeyRateInputs.fock_cutoff": lambda n: secrate.KeyRateInputs(
+        **RATE_INPUTS, fock_cutoff=n
+    ).fock_cutoff,
+    "prepare_uniform_superposition": lambda n: np.count_nonzero(
+        prepare_uniform_superposition(n, RNG(0)).state.amplitudes
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(POSITIVE_INTEGER_ENTRY_POINTS))
+def test_positive_integer_rule_at_every_entry_point(entry):
+    build = POSITIVE_INTEGER_ENTRY_POINTS[entry]
+    for bad in (0, -3, 2.5, 4.0, True):
+        # KeyRateDomainError is a ValueError
+        with pytest.raises(ValueError):
+            build(bad)
+    assert build(np.int64(4)) == 4
+
+
+# ---------------------------------------------------------------------------
+# 1-based labels
+# ---------------------------------------------------------------------------
+
+N_CLASSES = 2
+
+
+def _training_set(labels):
+    features = RNG(0).uniform(size=(2, 2))
+    scaler = FeatureScaler(minimum=np.zeros(2), maximum=np.ones(2))
+    return TrainingSet(features, labels, N_CLASSES, scaler)
+
+
+LABEL_ENTRY_POINTS = {
+    "TrainingSet": _training_set,
+    "majority_vote": majority_vote,
+    "confusion": lambda labels: metrics.confusion([1, 2], labels, N_CLASSES),
+    "roc_macro": lambda labels: metrics.roc_macro(
+        np.array([[0.9, 0.1], [0.2, 0.8]]), labels, N_CLASSES
+    ),
+}
+BAD_LABELS = {
+    "not integers": [1.5, 2.0],
+    "zero": [0, 2],
+    "above the class count": [1, N_CLASSES + 1],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_ENTRY_POINTS))
+@pytest.mark.parametrize("case", sorted(BAD_LABELS))
+def test_label_rule_at_every_entry_point(entry, case):
+    if entry == "majority_vote" and case == "above the class count":
+        # a vote is given no class count, so any label of at least 1 is valid
+        assert majority_vote(BAD_LABELS[case]) == 1
+        return
+    with pytest.raises(ValueError, match="labels must"):
+        LABEL_ENTRY_POINTS[entry](BAD_LABELS[case])
+    LABEL_ENTRY_POINTS[entry](np.array([1, 2], dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# register widths
+# ---------------------------------------------------------------------------
+
+def _float_width(values: int) -> int:
+    """The float formula every width used to carry: ceil(log2 n), at least 1."""
+    return max(1, math.ceil(math.log2(values)))
+
+
+def test_register_width_matches_the_float_formula_to_two_to_the_twenty():
+    values = range(1, (1 << 20) + 1)
+    assert [qubits_for(n) for n in values] == [_float_width(n) for n in values]
+
+
+def test_register_width_is_exact_for_numpy_and_large_integers():
+    for k in range(1, 46):
+        for n in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+            assert qubits_for(np.int64(n)) == qubits_for(n) == _float_width(n), n
+    # beyond 2^53 the float formula rounds 2^60 + 1 down to 2^60
+    assert qubits_for((1 << 60) + 1) == 61
+    assert _float_width((1 << 60) + 1) == 60
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 16, 17, 131, np.int64(33)])
+def test_every_register_width_reads_one_rule(count):
+    assert SimilarityTable(fidelity=np.zeros(count), mode="analytic").register_width == (
+        _float_width(max(count, 2))
+    )
+    assert amplitude_estimate(0.3, count).grid_size == 1 << _float_width(count)
+    # the 1-based index kets |1>..|M> of the uniform superposition
+    assert prepare_uniform_superposition(count, RNG(0)).layout["index"].width == (
+        _float_width(count + 1)
+    )
+    values = np.linspace(0.0, 1.0, count)[:, None]  # count distinct values in one feature
+    scratch = prepare_training_state(values, strip_scratch=False).layout["scratch"]
+    assert scratch.width == _float_width(max(count, 2))
+
+
+# ---------------------------------------------------------------------------
+# one description of the channel
+# ---------------------------------------------------------------------------
+
+NOISE_FIELDS = {"excess_noise", "detector_efficiency", "electronic_noise"}
+
+
+def test_every_channel_field_reaches_the_key_rate():
+    channel_fields = {f.name for f in dataclasses.fields(optics.ChannelModel)}
+    rate_fields = {f.name for f in dataclasses.fields(secrate.KeyRateInputs)}
+    assert channel_fields == {"distance_km", "loss_db_per_km"} | NOISE_FIELDS
+    assert NOISE_FIELDS <= rate_fields
+    # distance and loss reach the rate only as their transmittance
+    assert "transmittance" in rate_fields
+    assert not {"distance_km", "loss_db_per_km"} & rate_fields
+    noise = dict(excess_noise=0.01, detector_efficiency=0.6, electronic_noise=0.05)
+    rates = set()
+    for distance, loss in ((10.0, 0.2), (20.0, 0.1), (4.0, 0.5)):
+        channel = optics.ChannelModel(distance, loss, **noise)
+        inputs = secrate.KeyRateInputs(
+            modulation_variance=0.38, transmittance=channel.transmittance,
+            reconciliation_efficiency=0.98, psk_order=4,
+            **{name: getattr(channel, name) for name in NOISE_FIELDS},
+        )
+        rates.add(secrate.key_rate(inputs, "conventional").key_rate)
+    assert len(rates) == 1

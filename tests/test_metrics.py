@@ -154,6 +154,16 @@ def test_roc_rejects_labels_that_are_not_integers(actual):
     assert metrics.roc_macro(scores, np.array([1, 2], dtype=np.int64), 2).auc == 1.0
 
 
+@pytest.mark.parametrize("actual", [[0, 2, 0, 2], [1, 3, 1, 3]])
+def test_roc_rejects_labels_outside_the_classes(actual):
+    # a label of 0 used to score the last class's column and read AUC 0.5
+    # where the labels 1, 2 read 1.0; a label above N raised IndexError
+    scores = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])
+    with pytest.raises(ValueError, match="labels must"):
+        metrics.roc_macro(scores, actual, 2)
+    assert metrics.roc_macro(scores, [1, 2, 1, 2], 2).auc == 1.0
+
+
 def test_roc_rejects_single_class_truth():
     with pytest.raises(ValueError):
         metrics.roc_macro(np.ones((3, 2)) / 2, [1, 1, 1], 2)

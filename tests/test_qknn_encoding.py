@@ -8,11 +8,11 @@ import pytest
 from qknn_cvqkd import qsim
 from qknn_cvqkd.qknn import (
     fidelity_to_rows,
-    index_register_width,
     prepare_query_state,
     prepare_training_row_state,
     prepare_training_state,
     prepare_uniform_superposition,
+    qubits_for,
 )
 from qknn_cvqkd.qknn.encoding import EncodingError
 
@@ -30,7 +30,7 @@ def reference_uniform_prep(count: int, seeds, cmp_method: str = "oracle"):
     flag measurement repeated until both flags read 0. The circuit is built
     once; per seed, (attempts, index-register amplitudes). Also returns the
     Born probability of the (0, 0) outcome."""
-    m = index_register_width(count)
+    m = qubits_for(count + 1)
     layout = qsim.RegisterLayout.build(index=m, bound=m, over=1, zero=1)
     flags = (layout["over"].offset, 2)
     base = count << layout["bound"].offset
@@ -78,7 +78,7 @@ UNIFORM_PREP_AMPLITUDE = {3: 0.5773502691896258, 5: 0.4472135954999579, 16: 0.25
 
 @pytest.mark.parametrize("count", sorted(UNIFORM_PREP_ATTEMPTS))
 def test_uniform_prep_attempts_and_state_per_seed(count):
-    expected = np.zeros(1 << index_register_width(count), dtype=complex)
+    expected = np.zeros(1 << qubits_for(count + 1), dtype=complex)
     expected[1 : count + 1] = UNIFORM_PREP_AMPLITUDE[count]
     for seed, attempts in enumerate(UNIFORM_PREP_ATTEMPTS[count]):
         result = prepare_uniform_superposition(count, RNG(seed))

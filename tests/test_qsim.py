@@ -29,8 +29,9 @@ def test_new_register_basis_state():
 
 
 def test_new_register_cap():
+    # the cap is 24 qubits; the check raises before any allocation
     with pytest.raises(qsim.ResourceError, match="2\\^25"):
-        qsim.new_register(25, cap=24)
+        qsim.new_register(qsim.DEFAULT_QUBIT_CAP + 1)
 
 
 def test_register_layout_spans():

@@ -452,7 +452,7 @@ def test_caches_hold_one_entry_per_cutoff_or_ring():
                 inputs = make_inputs(vm=vm, loss_db=loss_db, n=order, auc=0.9)
                 for scheme in ("conventional", "qknn"):
                     secrate.key_rate(inputs, scheme)
-            cutoff = secrate.fock_magnitudes(inputs.coherent_amplitude).size
+            cutoff = secrate.fock_magnitudes(inputs.constellation.amplitude).size
             cutoffs.add(cutoff)
             rings.add((order, cutoff))
     assert len(cutoffs) < len(SCAN_MODULATION_VARIANCES)
