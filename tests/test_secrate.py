@@ -7,7 +7,9 @@ shares no code with the closed forms under test: symplectic eigenvalues
 come from |eig(i*Omega*sigma)|.
 """
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,13 @@ FIG11 = dict(
     electronic_noise=0.05,
     reconciliation_efficiency=0.98,
 )
+
+
+# the keyrate_scan grid: every (N, V_m) block over 0 .. 20 dB in 0.5 dB steps
+SCAN_PSK_ORDERS = (4, 8)
+SCAN_MODULATION_VARIANCES = (0.2, 0.35, 0.6, 1.0, 1.5, 2.2, 3.2, 4.5, 6.0, 8.0, 10.0, 12.0)
+SCAN_LOSSES_DB = tuple(0.5 * i for i in range(41))
+SCAN_AUC = 0.9
 
 
 def make_inputs(vm=0.38, loss_db=2.0, n=8, auc=1.0, **overrides):
@@ -49,21 +58,22 @@ def _symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     return np.sort(spectrum)[::2]  # each eigenvalue appears twice
 
 
-def covariance_oracle(inputs: secrate.KeyRateInputs, z_printed: float) -> np.ndarray:
-    """All five symplectic eigenvalues from explicit covariance matrices."""
+def covariance_oracle(inputs: secrate.KeyRateInputs, z: float) -> np.ndarray:
+    """All five symplectic eigenvalues from explicit covariance matrices,
+    with the correlation Z of ``correlation_term`` as Alice and Bob's
+    off-diagonal entry."""
     v = inputs.ensemble_variance
     t = inputs.transmittance
     eta = inputs.detector_efficiency
     v_el = inputs.electronic_noise
     iden = np.eye(2)
     sz = np.diag([1.0, -1.0])
-    z_cm = z_printed / math.sqrt(t)
     v_bob = t * (v + 1.0 / t - 1.0 + inputs.excess_noise)
 
     joint = np.zeros((4, 4))
     joint[:2, :2] = v * iden
     joint[2:, 2:] = v_bob * iden
-    joint[:2, 2:] = joint[2:, :2] = math.sqrt(t) * z_cm * sz
+    joint[:2, 2:] = joint[2:, :2] = z * sz
     lam12 = _symplectic_eigenvalues(joint)
 
     # modes: A, B, F0, G with (F0, G) an EPR pair of variance v_d
@@ -71,7 +81,7 @@ def covariance_oracle(inputs: secrate.KeyRateInputs, z_printed: float) -> np.nda
     sigma = np.zeros((8, 8))
     sigma[:2, :2] = v * iden
     sigma[2:4, 2:4] = v_bob * iden
-    sigma[:2, 2:4] = sigma[2:4, :2] = math.sqrt(t) * z_cm * sz
+    sigma[:2, 2:4] = sigma[2:4, :2] = z * sz
     sigma[4:6, 4:6] = sigma[6:8, 6:8] = v_d * iden
     coupling = math.sqrt(v_d * v_d - 1.0)
     sigma[4:6, 6:8] = sigma[6:8, 4:6] = coupling * sz
@@ -105,6 +115,23 @@ def test_spectrum_matches_covariance_oracle(vm, loss_db, n):
     oracle = covariance_oracle(inputs, z)
     closed = np.sort(np.array(spectrum.eigenvalues))[::-1]
     assert np.abs(closed - oracle).max() < 1e-8
+
+
+def assert_spectrum_matches_oracle(inputs: secrate.KeyRateInputs, operators=None) -> None:
+    z, w = secrate.correlation_term(inputs, operators)
+    closed = np.sort(secrate.symplectic_spectrum(inputs, z, w).eigenvalues)[::-1]
+    oracle = covariance_oracle(inputs, z)
+    # every eigenvalue is at least 1, so this bound is also absolute
+    assert np.all(np.abs(closed - oracle) <= 1e-12 * oracle), (inputs, closed - oracle)
+
+
+@pytest.mark.parametrize("order", SCAN_PSK_ORDERS)
+def test_spectrum_matches_covariance_oracle_on_the_scan_grid(order):
+    for vm in SCAN_MODULATION_VARIANCES:
+        base = make_inputs(vm=vm, loss_db=0.0, n=order, auc=SCAN_AUC)
+        ops = secrate.build_tau(base.constellation)
+        for loss_db in SCAN_LOSSES_DB:
+            assert_spectrum_matches_oracle(base.at_loss_db(loss_db), ops)
 
 
 def test_last_eigenvalue_is_exactly_one():
@@ -144,6 +171,23 @@ def test_mutual_information_independent_recompute():
     chi = 0.01 - 1.0 + 2.0 * 1.05 / (0.6 * t)
     expected = math.log2((1.38 + chi) / (1.0 + chi))
     assert secrate.mutual_information(inputs) == pytest.approx(expected, abs=1e-9)
+
+
+def test_information_exceeds_log2_n_only_for_qpsk_at_the_largest_modulation():
+    # documents the region, not a defect of secrate: I_AB is the capacity
+    # of the channel for a Gaussian input, and an N-point alphabet carries
+    # at most log2 N bits, so on the scan grid I_AB overstates what a QPSK
+    # ring can carry at V_m = 12 and 0 or 0.5 dB
+    above = {}
+    for order in SCAN_PSK_ORDERS:
+        for vm in SCAN_MODULATION_VARIANCES:
+            for loss_db in SCAN_LOSSES_DB:
+                info = secrate.mutual_information(make_inputs(vm=vm, loss_db=loss_db, n=order))
+                if info > math.log2(order):
+                    above[order, vm, loss_db] = info
+    assert set(above) == {(4, 12.0, 0.0), (4, 12.0, 0.5)}
+    assert above[4, 12.0, 0.0] == pytest.approx(2.1437, abs=1e-4)
+    assert above[4, 12.0, 0.5] == pytest.approx(2.0172, abs=1e-4)
 
 
 def test_inputs_validation_rejects_unphysical_parameters():
@@ -522,6 +566,28 @@ def test_discrete_correlation_stays_below_gaussian_bound():
         assert 0.0 < z <= gauss + 1e-12
 
 
+def test_psk_correlation_stays_below_the_gaussian_one_on_the_scan_grid():
+    # Gaussian extremality: Z of an N-PSK ring is at most the Gaussian
+    # ensemble's sqrt(T (V^2 - 1)). Both scale as sqrt(T), so the relative
+    # gap is one number per ring; the smallest is 2.25%, at N = 16, V_m = 12
+    gaps = {}
+    for order in (2, 3, 4, 8, 16):
+        for vm in SCAN_MODULATION_VARIANCES:
+            base = make_inputs(vm=vm, loss_db=0.0, n=order)
+            ops = secrate.build_tau(base.constellation)
+            ring = []
+            for loss_db in SCAN_LOSSES_DB:
+                inputs = base.at_loss_db(loss_db)
+                z, _ = secrate.correlation_term(inputs, ops)
+                gauss = math.sqrt(inputs.transmittance * (inputs.ensemble_variance**2 - 1.0))
+                ring.append(1.0 - z / gauss)
+            assert max(ring) - min(ring) < 1e-12, (order, vm)
+            gaps[order, vm] = min(ring)
+    assert len(gaps) * len(SCAN_LOSSES_DB) == 2460
+    assert min(gaps, key=gaps.get) == (16, 12.0)
+    assert 0.0225 < min(gaps.values()) < 0.0226
+
+
 def test_fock_cutoff_convergence():
     inputs = make_inputs(vm=0.38)
     auto = secrate.build_tau(inputs.constellation).n_max
@@ -532,11 +598,6 @@ def test_fock_cutoff_convergence():
         inputs, secrate.build_tau(inputs.constellation, auto + 10)
     )
     assert abs(z_auto - z_more) < 1e-8
-
-
-# the keyrate_scan grid: every (N, V_m) block over 0 .. 20 dB in 0.5 dB steps
-SCAN_MODULATION_VARIANCES = (0.2, 0.35, 0.6, 1.0, 1.5, 2.2, 3.2, 4.5, 6.0, 8.0, 10.0, 12.0)
-SCAN_LOSSES_DB = tuple(0.5 * i for i in range(41))
 
 
 def correlation_term_reference(inputs: secrate.KeyRateInputs, operators) -> tuple[float, float]:
@@ -809,6 +870,36 @@ def test_eve_information_reduction_factor():
     result = secrate.key_rate(make_inputs(loss_db=3.0), "conventional")
     assert result.holevo_information > 0
     assert result.holevo_information / 8 < result.holevo_information
+
+
+SCAN_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "keyrate_reference.json"
+
+
+def test_key_rates_match_the_committed_scan_reference():
+    # every keyrate_scan point, built as the benchmark builds it (base
+    # T = 1, then at_loss_db) and held to its tolerance: relative 1e-9 or
+    # absolute 1e-12 bit/pulse, whichever is wider
+    committed = json.loads(SCAN_REFERENCE.read_text())
+    assert committed["grid"] == {
+        "classifier_auc": SCAN_AUC,
+        "losses_db": list(SCAN_LOSSES_DB),
+        "modulation_variances": list(SCAN_MODULATION_VARIANCES),
+        "psk_orders": list(SCAN_PSK_ORDERS),
+    }
+    reference = committed["key_rates"]
+    checked = set()
+    for order in SCAN_PSK_ORDERS:
+        for vm in SCAN_MODULATION_VARIANCES:
+            base = make_inputs(vm=vm, loss_db=0.0, n=order, auc=SCAN_AUC)
+            for loss_db in SCAN_LOSSES_DB:
+                inputs = base.at_loss_db(loss_db)
+                for scheme in ("conventional", "qknn"):
+                    key = f"{order}|{vm!r}|{loss_db!r}|{scheme}"
+                    rate = secrate.key_rate(inputs, scheme).key_rate
+                    assert math.isclose(rate, reference[key], rel_tol=1e-9, abs_tol=1e-12), key
+                    checked.add(key)
+    assert len(checked) == 1968
+    assert checked == set(reference)
 
 
 # ---------------------------------------------------------------------------
