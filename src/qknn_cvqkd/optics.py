@@ -24,6 +24,11 @@ import numpy as np
 from .qknn.dataset import TrainingSet, is_positive_integer
 
 
+def transmittance_at_loss(loss_db: float) -> float:
+    """10^(-loss/10): the power fraction that a loss of ``loss_db`` passes."""
+    return 10.0 ** (-loss_db / 10.0)
+
+
 @dataclass(frozen=True)
 class Constellation:
     """Equal-amplitude PSK ring: ``n_points`` states at phases 2*pi*k/N."""
@@ -72,7 +77,7 @@ class ChannelModel:
 
     @property
     def transmittance(self) -> float:
-        return 10.0 ** (-self.loss_db / 10.0)
+        return transmittance_at_loss(self.loss_db)
 
     @property
     def quadrature_noise_variance(self) -> float:

@@ -19,9 +19,11 @@ def is_positive_integer(value) -> bool:
 
 
 def checked_labels(labels, n_classes: int | None = None) -> np.ndarray:
-    """``labels`` as an array of integer, 1-based class labels, each at most
+    """``labels`` as a 1-D array of integer, 1-based class labels, each at most
     ``n_classes`` when that is given; raises ``ValueError`` otherwise."""
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be one-dimensional, got shape {labels.shape}")
     if labels.size == 0:
         raise ValueError("need at least one label")
     if labels.dtype.kind not in "iu":
@@ -70,14 +72,13 @@ class TrainingSet:
         scaler: FeatureScaler,
     ):
         features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels)
+        labels = checked_labels(labels, n_classes)
         if features.ndim != 2 or features.shape[0] != labels.shape[0]:
             raise ValueError("features must be (M, U) with one label per row")
         if features.shape[0] < 1:
             raise ValueError("training set is empty")
         if not (features.min() >= -1e-12 and features.max() <= 1 + 1e-12):  # NaN fails too
             raise ValueError("normalized features must lie in [0, 1]")
-        checked_labels(labels, n_classes)
         self.features = np.clip(features, 0.0, 1.0)
         self.complement = np.sqrt(1.0 - self.features**2)
         self.labels = labels.astype(int)  # a copy: it is made read-only below

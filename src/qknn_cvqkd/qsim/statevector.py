@@ -103,9 +103,9 @@ def basis_state(n_qubits: int, value: int) -> StateVector:
     state = new_register(n_qubits)
     if not 0 <= value < state.dim:
         raise ValueError(f"basis value {value} outside {n_qubits}-qubit register")
-    amplitudes = np.zeros(state.dim, dtype=np.complex128)
-    amplitudes[value] = 1.0
-    return StateVector(n_qubits, amplitudes)
+    state.amplitudes[0] = 0.0
+    state.amplitudes[value] = 1.0
+    return state
 
 
 def tensor_product(*states: StateVector) -> StateVector:

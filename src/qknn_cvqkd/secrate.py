@@ -5,21 +5,20 @@ K = beta*Lambda*I_AB - chi_BE/N, where Lambda is the classifier's macro AUC
 and 1/N is an eavesdropper's chance of guessing the label-to-bits assignment
 of an N-point constellation.
 
-All noises are in shot-noise units referred to the channel input:
-  chi_line = 1/T - 1 + xi          (channel-added)
-  chi_het  = (2 - eta + 2*v_el)/eta (detection-added, heterodyne)
-  chi_tot  = chi_line + chi_het/T = xi - 1 + 2*(1+v_el)/(eta*T)
+The channel stage reads the covariance matrix [[V*I, Z*sz], [Z*sz, b*I]]
+of Alice's and Bob's modes and the noise of Bob's trusted heterodyne
+detector, in shot-noise units (Lodewyck et al., PRA 76, 042305 (2007)):
+  V = V_m + 1, b = T*(V_m + xi) + 1, chi_het = (2 - eta + 2*v_el)/eta.
+With h = b + chi_het, I_AB = log2(h / (h - T*V_m)).
 
-The Alice-Bob correlation Z of the effective Gaussian state is evaluated in
-a truncated Fock space from the constellation's average state tau:
+The correlation Z of the effective Gaussian state is evaluated in a
+truncated Fock space from the constellation's average state tau:
   Z = 2*sqrt(T)*tr(tau^{1/2} a tau^{1/2} a^dag) - sqrt(2*T*xi*w),
   w = sum_k p_k (<alpha_k|a_tau^dag a_tau|alpha_k> - |<alpha_k|a_tau|alpha_k>|^2),
   a_tau = tau^{1/2} a tau^{-1/2}  (pseudo-inverse on the support of tau).
 For Gaussian modulation Z reduces to sqrt(T*(V^2-1)); the discrete
 constellation's penalty is what caps the conventional key rate at large
-modulation variance. The symplectic closed forms keep their transmittance
-factors explicit, so they consume z_cm^2 = Z^2/T internally; both
-conventions coincide at T = 1.
+modulation variance.
 
 The Fock space is truncated by one rule, applied by ``fock_magnitudes`` alone:
 the norm deficit 1 - sum_{n<D} c_n^2 of the returned amplitudes is at most
@@ -52,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .optics import Constellation
+from .optics import Constellation, transmittance_at_loss
 from .qknn.dataset import is_positive_integer
 
 FOCK_TAIL_TOLERANCE = 1e-12
@@ -107,35 +106,26 @@ class KeyRateInputs:
     def constellation(self) -> Constellation:
         return Constellation(self.psk_order, self.modulation_variance)
 
+    @property
+    def bob_variance(self) -> float:
+        """b = T*(V_m + xi) + 1, Bob's quadrature variance before detection."""
+        return self.transmittance * (self.modulation_variance + self.excess_noise) + 1.0
+
     def at_loss_db(self, loss_db: float) -> "KeyRateInputs":
-        return replace(self, transmittance=10.0 ** (-loss_db / 10.0))
-
-
-def channel_added_noise(inputs: KeyRateInputs) -> float:
-    return 1.0 / inputs.transmittance - 1.0 + inputs.excess_noise
+        return replace(self, transmittance=transmittance_at_loss(loss_db))
 
 
 def detection_added_noise(inputs: KeyRateInputs) -> float:
+    """chi_het = (2 - eta + 2*v_el)/eta of the trusted heterodyne detector."""
     eta = inputs.detector_efficiency
     return (1.0 + (1.0 - eta) + 2.0 * inputs.electronic_noise) / eta
 
 
-def total_input_noise(inputs: KeyRateInputs) -> float:
-    return (
-        inputs.excess_noise
-        - 1.0
-        + 2.0 * (1.0 + inputs.electronic_noise)
-        / (inputs.detector_efficiency * inputs.transmittance)
-    )
-
-
 def mutual_information(inputs: KeyRateInputs) -> float:
-    """Shannon information of the heterodyne channel:
-    log2((V + chi_tot) / (1 + chi_tot))."""
-    chi_tot = total_input_noise(inputs)
-    if chi_tot <= -1.0:
-        raise KeyRateDomainError(f"total noise {chi_tot} at or below -1")
-    return math.log2((inputs.ensemble_variance + chi_tot) / (1.0 + chi_tot))
+    """Shannon information of the heterodyne channel, log2(h / (h - T*V_m)),
+    h = b + chi_het; h - T*V_m = 1 + T*xi + chi_het >= 2 for valid inputs."""
+    h = inputs.bob_variance + detection_added_noise(inputs)
+    return math.log2(h / (h - inputs.transmittance * inputs.modulation_variance))
 
 
 # ---------------------------------------------------------------------------
@@ -295,50 +285,38 @@ class SpectrumResult:
     penalty_weight: float
 
 
-def _sqrt_clipped(value: float, label: str) -> float:
-    if not value >= -1e-12:  # NaN fails too
-        raise KeyRateDomainError(f"negative or NaN discriminant in {label}: {value}")
-    return math.sqrt(max(value, 0.0))
+def _pair(difference: float, product: float, label: str) -> tuple[float, float]:
+    """l+ >= l- with l+ - l- = difference >= 0 and l+ * l- = product: the roots
+    of x^2 -+ difference*x - product, of discriminant (l+ + l-)^2."""
+    squared_sum = difference * difference + 4.0 * product
+    if not squared_sum >= 0.0:  # NaN fails too
+        raise KeyRateDomainError(f"negative or NaN discriminant in {label}: {squared_sum}")
+    total = math.sqrt(squared_sum)
+    return 0.5 * (total + difference), 0.5 * (total - difference)
 
 
 def symplectic_spectrum(
     inputs: KeyRateInputs, correlation: float, penalty_weight: float
 ) -> SpectrumResult:
-    """Symplectic eigenvalues of the joint and conditional covariance
-    matrices in the standard heterodyne closed form, from the correlation
-    term (Z, w) of ``correlation_term``."""
-    v = inputs.ensemble_variance
-    t = inputs.transmittance
-    z = correlation
-    # the closed forms below carry their transmittance factors explicitly,
-    # so they consume the unattenuated correlation (the definition of Z
-    # already includes sqrt(T); at the Gaussian point z_cm = sqrt(V^2-1))
-    z_cm_sq = z * z / t
-    chi_line = channel_added_noise(inputs)
+    """Symplectic eigenvalues of Alice and Bob's covariance matrix and of
+    the state conditioned on Bob's heterodyne outcome (Lodewyck et al.
+    2007), from the correlation term (Z, w) of ``correlation_term``.
+
+    With d = V*b - Z^2, the joint pair has lambda_1 * lambda_2 = d and
+    lambda_1 - lambda_2 = |V - b|. The conditional pair has product
+    (V + chi_het*d)/h and difference |chi_het*(V - b) + d - 1|/h, with
+    h = b + chi_het. These are Lodewyck's sums of squares A and C with
+    A - 2d and C - 2*sqrt(D) factored into the squared differences, so a
+    nearly degenerate pair keeps the precision that A^2 - 4d^2 and
+    C^2 - 4D lose to cancellation. The fifth eigenvalue is 1."""
+    v, b, z = inputs.ensemble_variance, inputs.bob_variance, correlation
     chi_het = detection_added_noise(inputs)
-    chi_tot = total_input_noise(inputs)
-
-    a_term = v * v + t * t * (v + chi_line) ** 2 - 2.0 * t * z_cm_sq
-    b_term = (t * (v * v + v * chi_line - z_cm_sq)) ** 2
-    root_12 = _sqrt_clipped(a_term * a_term - 4.0 * b_term, "lambda_12")
-
-    denom = (t * (v + chi_tot)) ** 2
-    sqrt_b = _sqrt_clipped(b_term, "sqrt(B)")
-    c_term = (
-        a_term * chi_het * chi_het
-        + b_term
-        + 1.0
-        + 2.0 * chi_het * (v * sqrt_b + t * (v + chi_line))
-        + 2.0 * t * z_cm_sq
-    ) / denom
-    d_term = ((v + sqrt_b * chi_het) / (t * (v + chi_tot))) ** 2
-    root_34 = _sqrt_clipped(c_term * c_term - 4.0 * d_term, "lambda_34")
-
-    squared = (
-        0.5 * (a_term + root_12), 0.5 * (a_term - root_12),
-        0.5 * (c_term + root_34), 0.5 * (c_term - root_34),
+    d = v * b - z * z
+    h = b + chi_het
+    roots = (
+        *_pair(abs(v - b), d, "lambda_12"),
+        *_pair(abs(chi_het * (v - b) + d - 1.0) / h, (v + chi_het * d) / h, "lambda_34"),
     )
-    roots = [_sqrt_clipped(lam, f"lambda_{i}") for i, lam in enumerate(squared, 1)]
     for i, lam in enumerate(roots, 1):
         if lam < 1.0 - 1e-6:
             raise KeyRateDomainError(f"unphysical lambda_{i} = {lam:.9f} for inputs {inputs}")

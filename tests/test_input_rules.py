@@ -94,6 +94,22 @@ def test_label_rule_at_every_entry_point(entry, case):
     LABEL_ENTRY_POINTS[entry](np.array([1, 2], dtype=np.int64))
 
 
+# each entry point given labels that are not 1-D, with its other arguments
+# shaped to match them
+LABEL_SHAPE_CASES = {
+    "TrainingSet": lambda: _training_set(1),
+    "majority_vote": lambda: majority_vote([[1, 2], [2, 2]]),
+    "confusion": lambda: metrics.confusion([[1, 2], [2, 1]], [[1, 2], [1, 2]], N_CLASSES),
+    "roc_macro": lambda: metrics.roc_macro(np.full((4, 2), 0.5), [[1, 2], [1, 2]], N_CLASSES),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_SHAPE_CASES))
+def test_label_shape_rule_at_every_entry_point(entry):
+    with pytest.raises(ValueError, match="labels must be one-dimensional"):
+        LABEL_SHAPE_CASES[entry]()
+
+
 # ---------------------------------------------------------------------------
 # register widths
 # ---------------------------------------------------------------------------

@@ -134,6 +134,20 @@ def test_spectrum_matches_covariance_oracle_on_the_scan_grid(order):
             assert_spectrum_matches_oracle(base.at_loss_db(loss_db), ops)
 
 
+def test_spectrum_matches_covariance_oracle_on_random_channels():
+    # the oracle's detector EPR variance 1 + 2 v_el / (1 - eta) needs eta < 1
+    rng = np.random.default_rng(20070917)
+    for _ in range(300):
+        assert_spectrum_matches_oracle(make_inputs(
+            vm=float(np.exp(rng.uniform(math.log(0.01), math.log(12.0)))),
+            loss_db=float(rng.uniform(0.0, 30.0)),
+            n=int(rng.choice([2, 3, 4, 8, 16])),
+            excess_noise=float(rng.uniform(1e-4, 0.1)),
+            detector_efficiency=float(rng.uniform(0.3, 0.99)),
+            electronic_noise=float(rng.uniform(1e-3, 0.2)),
+        ))
+
+
 def test_last_eigenvalue_is_exactly_one():
     inputs = make_inputs()
     spectrum = secrate.symplectic_spectrum(inputs, *secrate.correlation_term(inputs))
@@ -154,8 +168,9 @@ def test_mutual_information_clean_channel_closed_form():
         detector_efficiency=1.0, electronic_noise=0.0,
         reconciliation_efficiency=1.0, psk_order=8,
     )
-    # chi_tot = 1 - 1 + 2 = 2
-    assert secrate.total_input_noise(inputs) == pytest.approx(2.0, abs=1e-15)
+    # b = T (V_m + xi) + 1 = 2.38 and chi_het = (2 - 1 + 0)/1 = 1
+    assert inputs.bob_variance == pytest.approx(2.38, abs=1e-15)
+    assert secrate.detection_added_noise(inputs) == 1.0
     assert secrate.mutual_information(inputs) == pytest.approx(
         math.log2((1.38 + 2.0) / 3.0), abs=1e-15
     )
@@ -191,9 +206,9 @@ def test_information_exceeds_log2_n_only_for_qpsk_at_the_largest_modulation():
 
 
 def test_inputs_validation_rejects_unphysical_parameters():
-    # chi_tot = xi - 1 + 2(1+v_el)/(eta*T) >= 1 for physical inputs, so the
-    # mutual-information domain guard is unreachable from valid inputs;
-    # validation happens at construction instead
+    # the information's denominator 1 + T*xi + chi_het is at least 2 for
+    # valid inputs, so it needs no domain guard; validation happens at
+    # construction instead
     good = dict(
         modulation_variance=0.38, transmittance=0.5, excess_noise=0.01,
         detector_efficiency=0.6, electronic_noise=0.05,
