@@ -7,8 +7,10 @@ Conventions (shot-noise units, vacuum quadrature variance 1):
   gives modulation variance Vm per quadrature and total variance V = Vm + 1;
 - the channel and detector pass the fraction eta*T of the power, so the
   detected means are 2*sqrt(eta*T)*alpha;
-- each detected quadrature is Gaussian around its mean with the variance
-  ``ChannelModel.quadrature_noise_variance``.
+- each detected quadrature is Gaussian around its mean with variance
+  eta*(1 + T*xi + chi_het) = 2 + eta*T*xi + 2*v_el, chi_het from
+  ``heterodyne_added_noise``, the one trusted-detector rule ``secrate`` reads
+  too, so the samples' SNR eta*T*V_m / (2 + eta*T*xi + 2*v_el) is 2^I_AB - 1.
 
 The model has no phase noise: the receiver's references are the detected
 means themselves. Feature vectors are the Euclidean distances from a
@@ -27,6 +29,12 @@ from .qknn.dataset import TrainingSet, is_positive_integer
 def transmittance_at_loss(loss_db: float) -> float:
     """10^(-loss/10): the power fraction that a loss of ``loss_db`` passes."""
     return 10.0 ** (-loss_db / 10.0)
+
+
+def heterodyne_added_noise(detector_efficiency: float, electronic_noise: float) -> float:
+    """chi_het = (2 - eta + 2*v_el)/eta, a trusted heterodyne detector's noise
+    referred to its input (Lodewyck et al., PRA 76, 042305 (2007))."""
+    return (1.0 + (1.0 - detector_efficiency) + 2.0 * electronic_noise) / detector_efficiency
 
 
 @dataclass(frozen=True)
@@ -81,12 +89,9 @@ class ChannelModel:
 
     @property
     def quadrature_noise_variance(self) -> float:
-        """(2 + eta*T*xi + 2*v_el)/2 per quadrature: half the heterodyne
-        variance 2 + eta*T*xi + 2*v_el that ``secrate`` assumes, so the
-        samples carry twice the SNR of the rate formulas (ROADMAP.md
-        item 4)."""
-        eta_t = self.detector_efficiency * self.transmittance
-        return (2.0 + eta_t * self.excess_noise + 2.0 * self.electronic_noise) / 2.0
+        """eta*(1 + T*xi + chi_het) = 2 + eta*T*xi + 2*v_el per quadrature."""
+        chi_het = heterodyne_added_noise(self.detector_efficiency, self.electronic_noise)
+        return self.detector_efficiency * (1.0 + self.transmittance * self.excess_noise + chi_het)
 
 
 def detected_means(amplitudes: np.ndarray, channel: ChannelModel) -> tuple[np.ndarray, np.ndarray]:
@@ -136,8 +141,8 @@ def generate_samples(
     """Draw i.i.d. symbols, transmit, detect and featurize them. The true
     label is the sent symbol's sector (symbol k sits at the center of
     sector k+1)."""
-    if count < 1:
-        raise ValueError("need at least one sample")
+    if not is_positive_integer(count):
+        raise ValueError(f"need an integer count of at least one sample, got {count!r}")
     symbols = rng.integers(0, constellation.n_points, size=count)
     amplitudes = constellation.points[symbols]
     x, p = transmit_and_detect_batch(amplitudes, channel, rng)

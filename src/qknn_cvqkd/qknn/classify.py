@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TrainingSet, checked_labels
+from .dataset import TrainingSet, checked_labels, is_positive_integer
 from .encoding import fidelity_to_rows
 from .search import KMaximalReport, k_maximal_find
 from .similarity import SimilarityTable, compute_similarity_table
@@ -96,8 +96,8 @@ def classical_knn_predict(
     train: TrainingSet, query: np.ndarray, k: int, similarity: str = "euclidean"
 ) -> KnnPrediction:
     """Plain k-nearest-neighbor vote under the chosen similarity measure."""
-    if not 1 <= k <= train.size:
-        raise ValueError(f"k must lie in 1..{train.size}, got {k}")
+    if not (is_positive_integer(k) and k <= train.size):
+        raise ValueError(f"k must be an integer in 1..{train.size}, got {k!r}")
     query = np.asarray(query, float)[None, :]
     neighbors = _neighbor_order(train, query, similarity, k)[0]
     labels, scores = _vote(train.labels[neighbors][None, :], train.n_classes)
@@ -113,11 +113,12 @@ def knn_predict_batch(
     (n_queries, n_classes), row for row what ``classical_knn_predict`` gives.
     """
     queries = np.atleast_2d(np.asarray(queries, float))
-    k_values = sorted(set(int(k) for k in k_values))
+    k_values = list(k_values)
     if not k_values:
         raise ValueError("need at least one k")
-    if k_values[0] < 1 or k_values[-1] > train.size:
-        raise ValueError(f"k values must lie in 1..{train.size}")
+    if not all(is_positive_integer(k) and k <= train.size for k in k_values):
+        raise ValueError(f"k values must be integers in 1..{train.size}, got {k_values}")
+    k_values = sorted({int(k) for k in k_values})
     sorted_labels = train.labels[_neighbor_order(train, queries, similarity, k_values[-1])]
     return {k: _vote(sorted_labels[:, :k], train.n_classes) for k in k_values}
 
@@ -149,10 +150,8 @@ def qknn_predict(
     its closed-form outcome law; the modes differ in the tie rule and the
     index space (see ``k_maximal_find``), and gate results equal those of
     measuring the circuit in distribution, not seed by seed. ``delta`` must
-    lie in (0, 1) in either mode.
+    lie in (0, 1) in either mode; ``k_maximal_find`` checks ``k``.
     """
-    if not 1 <= k <= train.size:
-        raise ValueError(f"k must lie in 1..{train.size}, got {k}")
     table = compute_similarity_table(train, query, mode=mode, delta=delta)
     neighbors, report = k_maximal_find(table, k, rng, mode=mode)
     chosen = np.asarray(neighbors.selected, dtype=int)

@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import is_positive_integer
 from .encoding import qubits_for
 from .similarity import SimilarityTable
 
@@ -241,8 +242,8 @@ def k_maximal_find(
     """
     values = table.ranking_value
     count = values.size
-    if not 1 <= k <= count:
-        raise ValueError(f"k must lie in 1..{count}, got {k}")
+    if not (is_positive_integer(k) and k <= count):
+        raise ValueError(f"k must be an integer in 1..{count}, got {k!r}")
     if mode not in ("gate", "analytic"):
         raise ValueError(f"unknown mode '{mode}'")
     report = KMaximalReport()

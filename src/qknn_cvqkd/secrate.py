@@ -6,10 +6,10 @@ and 1/N is an eavesdropper's chance of guessing the label-to-bits assignment
 of an N-point constellation.
 
 The channel stage reads the covariance matrix [[V*I, Z*sz], [Z*sz, b*I]]
-of Alice's and Bob's modes and the noise of Bob's trusted heterodyne
-detector, in shot-noise units (Lodewyck et al., PRA 76, 042305 (2007)):
-  V = V_m + 1, b = T*(V_m + xi) + 1, chi_het = (2 - eta + 2*v_el)/eta.
-With h = b + chi_het, I_AB = log2(h / (h - T*V_m)).
+of Alice's and Bob's modes, V = V_m + 1 and b = T*(V_m + xi) + 1, in
+shot-noise units (Lodewyck et al., PRA 76, 042305 (2007)), and chi_het of
+Bob's trusted detector from ``optics.heterodyne_added_noise``, the one rule
+the samples are drawn with too. With h = b + chi_het, I_AB = log2(h / (h - T*V_m)).
 
 The correlation Z of the effective Gaussian state is evaluated in a
 truncated Fock space from the constellation's average state tau:
@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .optics import Constellation, transmittance_at_loss
+from .optics import Constellation, heterodyne_added_noise, transmittance_at_loss
 from .qknn.dataset import is_positive_integer
 
 FOCK_TAIL_TOLERANCE = 1e-12
@@ -115,16 +115,11 @@ class KeyRateInputs:
         return replace(self, transmittance=transmittance_at_loss(loss_db))
 
 
-def detection_added_noise(inputs: KeyRateInputs) -> float:
-    """chi_het = (2 - eta + 2*v_el)/eta of the trusted heterodyne detector."""
-    eta = inputs.detector_efficiency
-    return (1.0 + (1.0 - eta) + 2.0 * inputs.electronic_noise) / eta
-
-
 def mutual_information(inputs: KeyRateInputs) -> float:
     """Shannon information of the heterodyne channel, log2(h / (h - T*V_m)),
     h = b + chi_het; h - T*V_m = 1 + T*xi + chi_het >= 2 for valid inputs."""
-    h = inputs.bob_variance + detection_added_noise(inputs)
+    chi_het = heterodyne_added_noise(inputs.detector_efficiency, inputs.electronic_noise)
+    h = inputs.bob_variance + chi_het
     return math.log2(h / (h - inputs.transmittance * inputs.modulation_variance))
 
 
@@ -310,7 +305,7 @@ def symplectic_spectrum(
     nearly degenerate pair keeps the precision that A^2 - 4d^2 and
     C^2 - 4D lose to cancellation. The fifth eigenvalue is 1."""
     v, b, z = inputs.ensemble_variance, inputs.bob_variance, correlation
-    chi_het = detection_added_noise(inputs)
+    chi_het = heterodyne_added_noise(inputs.detector_efficiency, inputs.electronic_noise)
     d = v * b - z * z
     h = b + chi_het
     roots = (

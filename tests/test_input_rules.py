@@ -13,9 +13,14 @@ from qknn_cvqkd.qknn import (
     SimilarityTable,
     TrainingSet,
     amplitude_estimate,
+    classical_knn_predict,
+    compute_similarity_table,
+    k_maximal_find,
+    knn_predict_batch,
     majority_vote,
     prepare_training_state,
     prepare_uniform_superposition,
+    qknn_predict,
     qubits_for,
 )
 
@@ -30,8 +35,31 @@ RATE_INPUTS = dict(
 # positive integers
 # ---------------------------------------------------------------------------
 
+SIX_ROWS = TrainingSet(
+    RNG(0).uniform(size=(6, 2)), [1, 2, 1, 2, 1, 2], 2,
+    FeatureScaler(minimum=np.zeros(2), maximum=np.ones(2)),
+)
+QUERY = np.array([0.3, 0.7])
+BENCH_CHANNEL = optics.ChannelModel(20.0, excess_noise=0.01, detector_efficiency=0.6,
+                                    electronic_noise=0.05)
+
+# each entry point given a count or a k, returning the count it used
 POSITIVE_INTEGER_ENTRY_POINTS = {
     "Constellation": lambda n: optics.Constellation(n, 1.0).n_points,
+    "generate_samples": lambda n: optics.generate_samples(
+        n, BENCH_CHANNEL, optics.Constellation(4, 0.38), RNG(0)
+    ).labels.size,
+    "generate_dataset": lambda n: optics.generate_dataset(
+        n, BENCH_CHANNEL, optics.Constellation(4, 0.38), RNG(0)
+    ).size,
+    "classical_knn_predict": lambda k: classical_knn_predict(
+        SIX_ROWS, QUERY, k
+    ).neighbor_indices.size,
+    "knn_predict_batch": lambda k: next(iter(knn_predict_batch(SIX_ROWS, QUERY, [k]))),
+    "qknn_predict": lambda k: qknn_predict(SIX_ROWS, QUERY, k, RNG(0)).neighbor_indices.size,
+    "k_maximal_find": lambda k: len(
+        k_maximal_find(compute_similarity_table(SIX_ROWS, QUERY), k, RNG(0))[0].selected
+    ),
     "KeyRateInputs.psk_order": lambda n: secrate.KeyRateInputs(
         **{**RATE_INPUTS, "psk_order": n}
     ).psk_order,
@@ -51,7 +79,8 @@ def test_positive_integer_rule_at_every_entry_point(entry):
         # KeyRateDomainError is a ValueError
         with pytest.raises(ValueError):
             build(bad)
-    assert build(np.int64(4)) == 4
+    for good in (4, np.int64(4)):
+        assert build(good) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -174,3 +203,55 @@ def test_every_channel_field_reaches_the_key_rate():
         )
         rates.add(secrate.key_rate(inputs, "conventional").key_rate)
     assert len(rates) == 1
+
+
+class ScaleRecorder:
+    """Stands in for the generator of ``transmit_and_detect_batch``: records
+    the scale of every normal draw and adds no noise."""
+
+    def __init__(self):
+        self.scales = []
+
+    def normal(self, loc, scale, size):
+        self.scales.append(scale)
+        return np.zeros(size)
+
+
+def _channels_and_variances():
+    """Every bench channel, 0 to 50 km with both bench modulation
+    variances, then 200 seeded random (channel, V_m) pairs."""
+    noise = dict(excess_noise=0.01, detector_efficiency=0.6, electronic_noise=0.05)
+    for distance in np.arange(0.0, 51.0, 5.0):
+        for vm in (0.33, 0.38):
+            yield optics.ChannelModel(float(distance), **noise), vm
+    rng = RNG(19)
+    for _ in range(200):
+        channel = optics.ChannelModel(
+            distance_km=float(rng.uniform(0.0, 150.0)),
+            excess_noise=float(rng.uniform(0.0, 0.1)),
+            detector_efficiency=float(rng.uniform(0.3, 1.0)),
+            electronic_noise=float(rng.uniform(0.0, 0.2)),
+        )
+        yield channel, float(np.exp(rng.uniform(np.log(0.01), np.log(12.0))))
+
+
+def test_samples_carry_the_snr_of_the_key_rate():
+    # the signal is the per-quadrature variance of the detected means over a
+    # QPSK ring, the noise the variance the samples are drawn with; 2^I - 1
+    # is taken as expm1(I ln 2). The 2e-15 floor is a few ulps of the ratio
+    # h / (h - T*V_m) whose log is I: at small I that ratio is near 1, and
+    # its rounding alone reads up to 8e-12 relative on these pairs
+    for channel, vm in _channels_and_variances():
+        x, p = optics.detected_means(optics.Constellation(4, vm).points, channel)
+        recorder = ScaleRecorder()
+        optics.transmit_and_detect_batch(np.zeros(1, dtype=complex), channel, recorder)
+        assert len(recorder.scales) == 2 and recorder.scales[0] == recorder.scales[1]
+        noise = recorder.scales[0] ** 2
+        inputs = secrate.KeyRateInputs(
+            modulation_variance=vm, transmittance=channel.transmittance,
+            reconciliation_efficiency=0.98, psk_order=4,
+            **{name: getattr(channel, name) for name in NOISE_FIELDS},
+        )
+        snr = math.expm1(secrate.mutual_information(inputs) * math.log(2.0))
+        for signal in (np.mean(x * x), np.mean(p * p)):
+            assert signal / noise == pytest.approx(snr, rel=1e-12, abs=2e-15), (channel, vm)

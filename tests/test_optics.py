@@ -105,10 +105,11 @@ def test_ideal_channel_mean_and_unit_variance():
     n = x.size
     assert x.mean() == pytest.approx(2 * alpha.real, abs=4 / math.sqrt(n))
     assert p.mean() == pytest.approx(2 * alpha.imag, abs=4 / math.sqrt(n))
-    # variance 1 per quadrature within 3 sigma of the sampling error
+    # variance 2 per quadrature, the vacuum unit and the heterodyne unit,
+    # within 3 sigma of the sampling error
     for series in (x, p):
         var = series.var()
-        assert abs(var - 1.0) < 3 * math.sqrt(2.0 / n)
+        assert abs(var - 2.0) < 3 * 2.0 * math.sqrt(2.0 / n)
 
 
 def test_strong_attenuation_kills_the_mean():
@@ -131,7 +132,7 @@ def test_noise_variance_formula():
                             detector_efficiency=0.6, electronic_noise=0.05)
     eta_t = 0.6 * 10 ** (-0.1)
     assert channel.quadrature_noise_variance == pytest.approx(
-        (2 + eta_t * 0.03 + 2 * 0.05) / 2, abs=1e-12
+        2 + eta_t * 0.03 + 2 * 0.05, abs=1e-12
     )
 
 
@@ -147,9 +148,10 @@ def test_samples_follow_the_documented_stream_bit_for_bit(n_points, distance):
     rng = RNG(11)
     symbols = rng.integers(0, n_points, size=300)
     alpha = const.points[symbols]
-    eta_t = 0.6 * 10.0 ** (-0.2 * distance / 10.0)
-    gain = 2.0 * math.sqrt(eta_t)
-    sigma = math.sqrt((2.0 + eta_t * 0.01 + 2.0 * 0.05) / 2.0)
+    t = 10.0 ** (-0.2 * distance / 10.0)
+    gain = 2.0 * math.sqrt(0.6 * t)
+    # eta*(1 + T*xi + chi_het) with chi_het = (2 - eta + 2*v_el)/eta
+    sigma = math.sqrt(0.6 * (1.0 + t * 0.01 + (1.0 + (1.0 - 0.6) + 2.0 * 0.05) / 0.6))
     x = gain * alpha.real + rng.normal(0.0, sigma, size=300)
     p = gain * alpha.imag + rng.normal(0.0, sigma, size=300)
     refs = gain * const.points
@@ -157,6 +159,25 @@ def test_samples_follow_the_documented_stream_bit_for_bit(n_points, distance):
     for got, want in ((raw.symbols, symbols), (raw.labels, symbols + 1), (raw.x, x),
                       (raw.p, p), (raw.features, features)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_points", [1, 4, 8])
+@pytest.mark.parametrize("distance", [0.0, 20.0, 50.0])
+def test_sample_noise_is_the_detector_rule(n_points, distance):
+    # the bench channel; residuals around the detected means have zero mean
+    # and the shared variance eta*(1 + T*xi + chi_het), within 4 standard errors
+    const = optics.Constellation(n_points, 0.38)
+    channel = ideal_channel(distance_km=distance, excess_noise=0.01,
+                            detector_efficiency=0.6, electronic_noise=0.05)
+    chi_het = optics.heterodyne_added_noise(0.6, 0.05)
+    variance = 0.6 * (1.0 + channel.transmittance * 0.01 + chi_het)
+    assert channel.quadrature_noise_variance == variance
+    raw = optics.generate_samples(20_000, channel, const, RNG(23))
+    means = optics.detected_means(const.points[raw.symbols], channel)
+    n = raw.symbols.size
+    for residual in (raw.x - means[0], raw.p - means[1]):
+        assert abs(residual.mean()) < 4 * math.sqrt(variance / n)
+        assert abs(residual.var() - variance) < 4 * variance * math.sqrt(2.0 / n)
 
 
 def test_mean_radius_decreases_with_distance():

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from qknn_cvqkd import secrate
-from qknn_cvqkd.optics import Constellation
+from qknn_cvqkd.optics import ChannelModel, Constellation, heterodyne_added_noise
 
+NOISE_FIELDS = ("excess_noise", "detector_efficiency", "electronic_noise")
 FIG11 = dict(
     excess_noise=0.01,
     detector_efficiency=0.6,
@@ -58,30 +59,31 @@ def _symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     return np.sort(spectrum)[::2]  # each eigenvalue appears twice
 
 
-def covariance_oracle(inputs: secrate.KeyRateInputs, z: float) -> np.ndarray:
-    """All five symplectic eigenvalues from explicit covariance matrices,
-    with the correlation Z of ``correlation_term`` as Alice and Bob's
-    off-diagonal entry."""
+def joint_covariance(inputs: secrate.KeyRateInputs, z: float) -> np.ndarray:
+    """4 x 4 covariance of Alice's and Bob's modes before detection, with Z
+    as their off-diagonal entry."""
     v = inputs.ensemble_variance
     t = inputs.transmittance
+    v_bob = t * (v + 1.0 / t - 1.0 + inputs.excess_noise)
+    joint = np.zeros((4, 4))
+    joint[:2, :2] = v * np.eye(2)
+    joint[2:, 2:] = v_bob * np.eye(2)
+    joint[:2, 2:] = joint[2:, :2] = z * np.diag([1.0, -1.0])
+    return joint
+
+
+def detected_covariance(inputs: secrate.KeyRateInputs, z: float) -> np.ndarray:
+    """8 x 8 covariance of modes A, B, F0, G after Bob's detector
+    beamsplitter; B is the mode the heterodyne measures."""
     eta = inputs.detector_efficiency
     v_el = inputs.electronic_noise
     iden = np.eye(2)
     sz = np.diag([1.0, -1.0])
-    v_bob = t * (v + 1.0 / t - 1.0 + inputs.excess_noise)
-
-    joint = np.zeros((4, 4))
-    joint[:2, :2] = v * iden
-    joint[2:, 2:] = v_bob * iden
-    joint[:2, 2:] = joint[2:, :2] = z * sz
-    lam12 = _symplectic_eigenvalues(joint)
 
     # modes: A, B, F0, G with (F0, G) an EPR pair of variance v_d
     v_d = 1.0 + 2.0 * v_el / (1.0 - eta)
     sigma = np.zeros((8, 8))
-    sigma[:2, :2] = v * iden
-    sigma[2:4, 2:4] = v_bob * iden
-    sigma[:2, 2:4] = sigma[2:4, :2] = z * sz
+    sigma[:4, :4] = joint_covariance(inputs, z)
     sigma[4:6, 4:6] = sigma[6:8, 6:8] = v_d * iden
     coupling = math.sqrt(v_d * v_d - 1.0)
     sigma[4:6, 6:8] = sigma[6:8, 4:6] = coupling * sz
@@ -92,8 +94,15 @@ def covariance_oracle(inputs: secrate.KeyRateInputs, z: float) -> np.ndarray:
     mixer[2:4, 4:6] = ce * iden
     mixer[4:6, 2:4] = -ce * iden
     mixer[4:6, 4:6] = se * iden
-    sigma = mixer @ sigma @ mixer.T
+    return mixer @ sigma @ mixer.T
 
+
+def covariance_oracle(inputs: secrate.KeyRateInputs, z: float) -> np.ndarray:
+    """All five symplectic eigenvalues from explicit covariance matrices,
+    with the correlation Z of ``correlation_term`` as Alice and Bob's
+    off-diagonal entry."""
+    lam12 = _symplectic_eigenvalues(joint_covariance(inputs, z))
+    sigma = detected_covariance(inputs, z)
     keep = [0, 1, 4, 5, 6, 7]
     measured = [2, 3]
     s_keep = sigma[np.ix_(keep, keep)]
@@ -134,18 +143,24 @@ def test_spectrum_matches_covariance_oracle_on_the_scan_grid(order):
             assert_spectrum_matches_oracle(base.at_loss_db(loss_db), ops)
 
 
-def test_spectrum_matches_covariance_oracle_on_random_channels():
-    # the oracle's detector EPR variance 1 + 2 v_el / (1 - eta) needs eta < 1
+def random_channel_inputs():
+    """300 seeded random points; the oracle's detector EPR variance
+    1 + 2 v_el / (1 - eta) needs eta < 1."""
     rng = np.random.default_rng(20070917)
     for _ in range(300):
-        assert_spectrum_matches_oracle(make_inputs(
+        yield make_inputs(
             vm=float(np.exp(rng.uniform(math.log(0.01), math.log(12.0)))),
             loss_db=float(rng.uniform(0.0, 30.0)),
             n=int(rng.choice([2, 3, 4, 8, 16])),
             excess_noise=float(rng.uniform(1e-4, 0.1)),
             detector_efficiency=float(rng.uniform(0.3, 0.99)),
             electronic_noise=float(rng.uniform(1e-3, 0.2)),
-        ))
+        )
+
+
+def test_spectrum_matches_covariance_oracle_on_random_channels():
+    for inputs in random_channel_inputs():
+        assert_spectrum_matches_oracle(inputs)
 
 
 def test_last_eigenvalue_is_exactly_one():
@@ -170,7 +185,7 @@ def test_mutual_information_clean_channel_closed_form():
     )
     # b = T (V_m + xi) + 1 = 2.38 and chi_het = (2 - 1 + 0)/1 = 1
     assert inputs.bob_variance == pytest.approx(2.38, abs=1e-15)
-    assert secrate.detection_added_noise(inputs) == 1.0
+    assert heterodyne_added_noise(inputs.detector_efficiency, inputs.electronic_noise) == 1.0
     assert secrate.mutual_information(inputs) == pytest.approx(
         math.log2((1.38 + 2.0) / 3.0), abs=1e-15
     )
@@ -186,6 +201,41 @@ def test_mutual_information_independent_recompute():
     chi = 0.01 - 1.0 + 2.0 * 1.05 / (0.6 * t)
     expected = math.log2((1.38 + chi) / (1.0 + chi))
     assert secrate.mutual_information(inputs) == pytest.approx(expected, abs=1e-9)
+
+
+def assert_information_matches_oracle(inputs: secrate.KeyRateInputs) -> None:
+    # at the Gaussian point Z = sqrt(T(V^2 - 1)), I_AB is log2 of Bob's
+    # heterodyne variance s + 1 = eta*h over the same variance conditioned on
+    # Alice's heterodyne outcome, eta*h - eta*Z^2/(V + 1) = eta*h - eta*T*V_m:
+    # the per-quadrature noise the samples are drawn with. The 2e-15 bit
+    # floor is a few ulps of a ratio near 1, where I is small
+    v = inputs.ensemble_variance
+    sigma = detected_covariance(inputs, math.sqrt(inputs.transmittance * (v * v - 1.0)))
+    alice, bob = sigma[:2, :2], sigma[2:4, 2:4]
+    cross = sigma[2:4, :2]
+    measured = bob[0, 0] + 1.0
+    conditioned = (bob - cross @ np.linalg.inv(alice + np.eye(2)) @ cross.T)[0, 0] + 1.0
+    info = secrate.mutual_information(inputs)
+    assert math.log2(measured / conditioned) == pytest.approx(info, rel=1e-12, abs=2e-15), inputs
+    # a loss of L dB is L km at 1 dB/km
+    channel = ChannelModel(
+        -10.0 * math.log10(inputs.transmittance), 1.0,
+        **{name: getattr(inputs, name) for name in NOISE_FIELDS},
+    )
+    assert conditioned == pytest.approx(channel.quadrature_noise_variance, rel=1e-12), inputs
+
+
+@pytest.mark.parametrize("order", SCAN_PSK_ORDERS)
+def test_information_matches_covariance_oracle_on_the_scan_grid(order):
+    for vm in SCAN_MODULATION_VARIANCES:
+        base = make_inputs(vm=vm, loss_db=0.0, n=order, auc=SCAN_AUC)
+        for loss_db in SCAN_LOSSES_DB:
+            assert_information_matches_oracle(base.at_loss_db(loss_db))
+
+
+def test_information_matches_covariance_oracle_on_random_channels():
+    for inputs in random_channel_inputs():
+        assert_information_matches_oracle(inputs)
 
 
 def test_information_exceeds_log2_n_only_for_qpsk_at_the_largest_modulation():
