@@ -29,19 +29,19 @@ For an N-PSK ring, <n|alpha_k> = c_n omega^{kn} with omega = e^{2 pi i/N}
 and c_n the Fock amplitudes of |alpha|, so tau is block-diagonal in n mod N
 and each block is rank one: tau = sum_r |u_r><u_r| with (u_r)_n = c_n for
 n = r mod N, and eigenvalue lambda_r = |u_r|^2 (Papanastasiou et al., PRA 98,
-012340 (2018); Denys, Brown and Leverrier, Quantum 5, 540 (2021)).
-``build_tau`` writes tau^{1/2} and tau^{-1/2} from that structure without an
-eigendecomposition, so the module makes no LAPACK call. Tables free of data
-are built once, read-only and keyed by integers only: log(n!)/2 and the
-lowering operator a per cutoff D, a real float64 matrix; n mod N, the
-same-block mask and omega^{kn} per (N, D). With a PSK tau the trace and w take
-three real D x D products: a tau^{1/2} and tau^{1/2} a, whose vdot is the
-trace, and a_tau = (tau^{1/2} a) tau^{-1/2}; then one N x D product gives
-<v|a_tau|v> and |a_tau v|^2. They stay matrix expressions, not the O(N)
-scalars of the block weights, for two reasons. The traced benchmark's
-``build_tau`` -> ``correlation_term`` composition must give exactly
-``key_rate``'s rate. And the benchmark keeps ~0.1 MB per pass it runs, so a
-much faster pass reads a higher peak RSS (ROADMAP.md items 1 and 3).
+012340 (2018); Denys, Brown and Leverrier, Quantum 5, 540 (2021)). As
+sqrt(n) c_n = alpha c_{n-1}, the truncated a maps u_r onto alpha u_{r-1},
+less the top level D-1 that it drops, so the trace and w couple neighbouring
+blocks only and reduce to N scalars:
+  g_r = alpha (lambda_{r-1} - eps_r) / sqrt(lambda_{r-1} lambda_r),
+  eps_r = c_{D-1}^2 on the block r = D mod N and 0 on the others,
+  tr(tau^{1/2} a tau^{1/2} a^dag) = sum_r g_r^2 sqrt(lambda_{r-1} lambda_r),
+  w = sum_r g_r^2 lambda_{r-1} - (sum_r g_r lambda_{r-1})^2,
+with g_r = 0 unless lambda_{r-1} and lambda_r both exceed ``EIGENVALUE_FLOOR``.
+Every ring point gives the same w, so the average over k is that value. A
+key-rate point costs O(D) for the amplitudes and O(N) for the moments, with
+no D x D matrix; the matrix form of the same expressions is the reference
+in tests/test_secrate.py.
 """
 from __future__ import annotations
 
@@ -117,10 +117,13 @@ class KeyRateInputs:
 
 def mutual_information(inputs: KeyRateInputs) -> float:
     """Shannon information of the heterodyne channel, log2(h / (h - T*V_m)),
-    h = b + chi_het; h - T*V_m = 1 + T*xi + chi_het >= 2 for valid inputs."""
+    h = b + chi_het; h - T*V_m = 1 + T*xi + chi_het >= 2 for valid inputs.
+    Taken as log1p(T*V_m / (h - T*V_m)) / ln 2, which keeps a few ulps where
+    the ratio is near 1 and log2 of it would lose its low bits."""
     chi_het = heterodyne_added_noise(inputs.detector_efficiency, inputs.electronic_noise)
-    h = inputs.bob_variance + chi_het
-    return math.log2(h / (h - inputs.transmittance * inputs.modulation_variance))
+    signal = inputs.transmittance * inputs.modulation_variance
+    noise = inputs.bob_variance + chi_het - signal
+    return math.log1p(signal / noise) / math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -171,98 +174,66 @@ def fock_magnitudes(magnitude: float, n_max: int | None = None) -> np.ndarray:
         length = min(2 * length, MAX_FOCK_CUTOFF)
 
 
-@lru_cache(maxsize=64)
-def lowering_operator(n_max: int) -> np.ndarray:
-    """The truncated a with a|n> = sqrt(n)|n-1>; one read-only copy per cutoff."""
-    op = np.zeros((n_max, n_max))
-    ns = np.arange(1, n_max)
-    op[ns - 1, ns] = np.sqrt(ns)
-    op.flags.writeable = False
-    return op
-
-
-@lru_cache(maxsize=64)
-def _ring_tables(order: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n mod N per level, the same-block mask and the N x D phases omega^{kn}
-    (read by kn mod N from the roots of unity); read-only, once per (N, D)."""
-    n = np.arange(n_max)
-    block = n % order
-    roots = np.exp(2j * math.pi / order * np.arange(order))
-    tables = (block, block[:, None] == block, roots[np.outer(np.arange(order), n) % order])
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 @dataclass(frozen=True)
-class FockOperatorSet:
-    """Truncated average state of the constellation with its square root,
-    pseudo-inverse square root, and the lowering operator."""
+class PskRing:
+    """The average state tau of an N-PSK ring by its N rank-one blocks: the
+    Fock amplitudes c_n of the ring's |alpha| below the cutoff D = ``n_max``,
+    the block weights lambda_r = sum of c_n^2 over n = r mod N, and the number
+    of blocks above ``EIGENVALUE_FLOOR``."""
 
-    tau: np.ndarray
-    tau_sqrt: np.ndarray
-    tau_inv_sqrt: np.ndarray
-    lowering: np.ndarray
-    coherent_vectors: np.ndarray  # (N, n_max)
+    amplitude: float
+    amplitudes: np.ndarray
+    weights: tuple[float, ...]
     n_max: int
     support_dim: int
 
 
-def build_tau(constellation: Constellation, n_max: int | None = None) -> FockOperatorSet:
-    """Average state tau = (1/N) sum_k |alpha_k><alpha_k| of the PSK ring and
-    its matrix functions from the block structure: on the block of n = r
-    mod N, tau[m, n] = c_m c_n, tau^{1/2} = tau / sqrt(lambda_r) and the
-    pseudo-inverse tau^{-1/2} = tau / lambda_r^{3/2}, where lambda_r is the
-    sum of c_n^2 over the block (Papanastasiou et al. 2018; Denys, Brown
-    and Leverrier 2021). lambda_r is a sum of positive terms; the DFT of
+def build_tau(constellation: Constellation, n_max: int | None = None) -> PskRing:
+    """Average state tau = (1/N) sum_k |alpha_k><alpha_k| of the PSK ring as
+    its block weights (Papanastasiou et al. 2018; Denys, Brown and Leverrier
+    2021). lambda_r is a sum of positive terms, in index order; the DFT of
     exp(|alpha|^2 omega^l), which equals it in exact arithmetic, cancels to
     zero or below at N = 16. Blocks with lambda_r at or below
     ``EIGENVALUE_FLOOR`` (and blocks with no Fock level below ``n_max``)
     lie outside the support."""
     amplitudes = fock_magnitudes(constellation.amplitude, n_max)
-    n_max = amplitudes.size
-    block, same_block, phases = _ring_tables(constellation.n_points, n_max)
-    weights = np.bincount(block, weights=amplitudes * amplitudes)
-    support = weights > EIGENVALUE_FLOOR
-    scale = np.divide(1.0, np.sqrt(weights), out=np.zeros_like(weights), where=support)[block]
-
-    tau = np.outer(amplitudes, amplitudes)
-    tau *= same_block
-    tau_sqrt = tau * scale[:, None]
-    return FockOperatorSet(
-        tau=tau,
-        tau_sqrt=tau_sqrt,
-        tau_inv_sqrt=tau_sqrt * (scale * scale)[:, None],
-        lowering=lowering_operator(n_max),
-        coherent_vectors=amplitudes * phases,
-        n_max=n_max,
-        support_dim=int(np.count_nonzero(support)),
+    order = constellation.n_points
+    blocks = np.arange(amplitudes.size) % order
+    weights = np.bincount(blocks, weights=amplitudes * amplitudes, minlength=order).tolist()
+    return PskRing(
+        amplitude=constellation.amplitude,
+        amplitudes=amplitudes,
+        weights=tuple(weights),
+        n_max=amplitudes.size,
+        support_dim=sum(weight > EIGENVALUE_FLOOR for weight in weights),
     )
 
 
-def correlation_term(inputs: KeyRateInputs, operators: FockOperatorSet | None = None) -> tuple[float, float]:
-    """Alice-Bob correlation Z and the noise-penalty weight w from any set
-    of Fock operators; the default is ``build_tau`` of the inputs' PSK
-    ring. The trace tr(tau^{1/2} a tau^{1/2} a^dag) is vdot(a tau^{1/2},
-    tau^{1/2} a) for any Hermitian tau^{1/2}, a_tau reuses tau^{1/2} a, and
-    <v|a_tau^dag a_tau|v> = |a_tau v|^2 comes from the N x D product that
-    gives <v|a_tau|v>."""
-    if operators is None:
-        operators = build_tau(inputs.constellation, inputs.fock_cutoff)
-    a_op, tau_sqrt = operators.lowering, operators.tau_sqrt
-    lowered_sqrt = tau_sqrt @ a_op
-    trace = np.vdot(a_op @ tau_sqrt, lowered_sqrt)
-    if not (abs(trace.imag) < 1e-9 and math.isfinite(trace.real)):
-        raise KeyRateDomainError(f"correlation trace {trace} is not finite or not real")
-
-    vectors = operators.coherent_vectors
-    lowered = vectors @ (lowered_sqrt @ operators.tau_inv_sqrt).T  # rows a_tau|v_k>
-    mean_number = np.vecdot(lowered, lowered).real
-    mean_lower = np.vecdot(vectors, lowered)
-    w = float((mean_number - np.abs(mean_lower) ** 2).sum() / len(vectors))
+def correlation_term(inputs: KeyRateInputs, ring: PskRing | None = None) -> tuple[float, float]:
+    """Alice-Bob correlation Z and the noise-penalty weight w of a PSK ring;
+    the default is ``build_tau`` of the inputs' ring. The trace and w are
+    the block sums of the module docstring, one pass over the N blocks."""
+    if ring is None:
+        ring = build_tau(inputs.constellation, inputs.fock_cutoff)
+    weights = ring.weights
+    top = ring.n_max % len(weights)  # the block whose lowering misses level D-1
+    dropped = float(ring.amplitudes[-1]) ** 2
+    trace = number = lowered = 0.0
+    previous = weights[-1]
+    for r, weight in enumerate(weights):
+        if previous > EIGENVALUE_FLOOR and weight > EIGENVALUE_FLOOR:
+            overlap = math.sqrt(previous * weight)
+            g = ring.amplitude * (previous - dropped if r == top else previous) / overlap
+            trace += g * g * overlap
+            number += g * g * previous
+            lowered += g * previous
+        previous = weight
+    if not math.isfinite(trace):
+        raise KeyRateDomainError(f"correlation trace {trace} is not finite")
+    w = number - lowered * lowered
 
     t = inputs.transmittance
-    z = 2.0 * math.sqrt(t) * trace.real
+    z = 2.0 * math.sqrt(t) * trace
     penalty_sq = 2.0 * t * inputs.excess_noise * w
     if penalty_sq > 0:
         z -= math.sqrt(penalty_sq)

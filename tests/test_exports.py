@@ -76,7 +76,7 @@ def test_every_export_has_a_caller(names):
 def test_secrate_public_names_are_found():
     names = _public_top_level_names(secrate)
     assert {"build_tau", "fock_magnitudes", "FOCK_TAIL_TOLERANCE", "KeyRateInputs"} <= set(names)
-    assert not {"_half_log_factorials", "_ring_tables", "math", "np"} & set(names)
+    assert not {"_half_log_factorials", "math", "np"} & set(names)
 
 
 def test_test_only_exports_are_exported_and_used_by_the_named_test():
@@ -133,10 +133,17 @@ def test_encoding_reads_no_qsim_name_but_its_state_types():
     assert imported <= {"qsim", "qsim.StateVector", "qsim.RegisterLayout"}, imported
 
 
+MATRIX_PRODUCTS = {"outer", "dot", "vdot", "vecdot", "matmul", "einsum"}
+
+
 def test_secrate_makes_no_linalg_call():
-    # tau's matrix functions come from its PSK block structure; a LAPACK
-    # eigendecomposition per key-rate point costs time and workspace memory
+    # the trace and w of a PSK ring are sums over its N block weights; a
+    # LAPACK call or a D x D matrix product per key-rate point costs time
+    # and memory (the matrix form lives in tests/test_secrate.py)
     tree = ast.parse((ROOT / "src" / "qknn_cvqkd" / "secrate.py").read_text())
     imported = [name for name in _imported_modules(tree) if "linalg" in name.split(".")]
     read = [name for name in _reads(tree) if name == "linalg"]
     assert not imported and not read, f"secrate.py uses {imported + read}"
+    matmul = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.MatMult)]
+    products = sorted(set(_reads(tree)) & MATRIX_PRODUCTS)
+    assert not matmul and not products, f"secrate.py multiplies matrices: {matmul} {products}"

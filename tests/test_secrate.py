@@ -4,7 +4,9 @@ The heavy oracle here is a from-scratch three-mode covariance-matrix model
 of the trusted heterodyne receiver (EPR source, noisy lossy channel,
 detector beamsplitter fed by an EPR ancilla, heterodyne conditioning). It
 shares no code with the closed forms under test: symplectic eigenvalues
-come from |eig(i*Omega*sigma)|.
+come from |eig(i*Omega*sigma)|. The correlation term's reference is the
+D x D Fock-matrix form of the same trace and w, on tau written from a
+ring's blocks and, independently, from an eigendecomposition.
 """
 import dataclasses
 import json
@@ -126,8 +128,8 @@ def test_spectrum_matches_covariance_oracle(vm, loss_db, n):
     assert np.abs(closed - oracle).max() < 1e-8
 
 
-def assert_spectrum_matches_oracle(inputs: secrate.KeyRateInputs, operators=None) -> None:
-    z, w = secrate.correlation_term(inputs, operators)
+def assert_spectrum_matches_oracle(inputs: secrate.KeyRateInputs, ring=None) -> None:
+    z, w = secrate.correlation_term(inputs, ring)
     closed = np.sort(secrate.symplectic_spectrum(inputs, z, w).eigenvalues)[::-1]
     oracle = covariance_oracle(inputs, z)
     # every eigenvalue is at least 1, so this bound is also absolute
@@ -138,9 +140,9 @@ def assert_spectrum_matches_oracle(inputs: secrate.KeyRateInputs, operators=None
 def test_spectrum_matches_covariance_oracle_on_the_scan_grid(order):
     for vm in SCAN_MODULATION_VARIANCES:
         base = make_inputs(vm=vm, loss_db=0.0, n=order, auc=SCAN_AUC)
-        ops = secrate.build_tau(base.constellation)
+        ring = secrate.build_tau(base.constellation)
         for loss_db in SCAN_LOSSES_DB:
-            assert_spectrum_matches_oracle(base.at_loss_db(loss_db), ops)
+            assert_spectrum_matches_oracle(base.at_loss_db(loss_db), ring)
 
 
 def random_channel_inputs():
@@ -207,16 +209,20 @@ def assert_information_matches_oracle(inputs: secrate.KeyRateInputs) -> None:
     # at the Gaussian point Z = sqrt(T(V^2 - 1)), I_AB is log2 of Bob's
     # heterodyne variance s + 1 = eta*h over the same variance conditioned on
     # Alice's heterodyne outcome, eta*h - eta*Z^2/(V + 1) = eta*h - eta*T*V_m:
-    # the per-quadrature noise the samples are drawn with. The 2e-15 bit
-    # floor is a few ulps of a ratio near 1, where I is small
+    # the per-quadrature noise the samples are drawn with. Held to 1e-12 of
+    # I itself, down to I ~ 6e-6 at 30 dB: the oracle takes -log2(1 - x) for
+    # the variance share x that Alice's outcome explains through log1p, as a
+    # log2 of a ratio near 1 would lose the low bits
     v = inputs.ensemble_variance
     sigma = detected_covariance(inputs, math.sqrt(inputs.transmittance * (v * v - 1.0)))
     alice, bob = sigma[:2, :2], sigma[2:4, 2:4]
     cross = sigma[2:4, :2]
     measured = bob[0, 0] + 1.0
-    conditioned = (bob - cross @ np.linalg.inv(alice + np.eye(2)) @ cross.T)[0, 0] + 1.0
+    explained = (cross @ np.linalg.inv(alice + np.eye(2)) @ cross.T)[0, 0]
+    conditioned = measured - explained
     info = secrate.mutual_information(inputs)
-    assert math.log2(measured / conditioned) == pytest.approx(info, rel=1e-12, abs=2e-15), inputs
+    oracle = -math.log1p(-explained / measured) / math.log(2.0)
+    assert oracle == pytest.approx(info, rel=1e-12, abs=0.0), inputs
     # a loss of L dB is L km at 1 dB/km
     channel = ChannelModel(
         -10.0 * math.log10(inputs.transmittance), 1.0,
@@ -434,7 +440,55 @@ def test_fock_cutoff_search_stops_at_512():
         secrate.fock_magnitudes(math.sqrt(400.0))
 
 
-def eigh_build_tau(constellation: Constellation, n_max: int | None = None):
+def lowering_operator(n_max: int) -> np.ndarray:
+    """The truncated a with a|n> = sqrt(n)|n-1>, real."""
+    op = np.zeros((n_max, n_max))
+    ns = np.arange(1, n_max)
+    op[ns - 1, ns] = np.sqrt(ns)
+    return op
+
+
+@dataclasses.dataclass(frozen=True)
+class FockOperatorSet:
+    """Truncated average state with its square root, pseudo-inverse square
+    root and the lowering operator, as D x D matrices, and the coherent
+    vectors it averages."""
+
+    tau: np.ndarray
+    tau_sqrt: np.ndarray
+    tau_inv_sqrt: np.ndarray
+    lowering: np.ndarray
+    coherent_vectors: np.ndarray  # (N, n_max)
+    n_max: int
+    support_dim: int
+
+
+def block_operator_set(ring: secrate.PskRing) -> FockOperatorSet:
+    """The D x D path, written from the ring's amplitudes and block weights:
+    on the block of n = r mod N, tau[m, n] = c_m c_n, tau^{1/2} = tau /
+    sqrt(lambda_r) and tau^{-1/2} = tau / lambda_r^{3/2}; blocks at or below
+    the floor are zero in both. The point vectors are c_n omega^{kn}."""
+    order = len(ring.weights)
+    n = np.arange(ring.n_max)
+    block = n % order
+    weights = np.array(ring.weights)
+    support = weights > secrate.EIGENVALUE_FLOOR
+    scale = np.divide(1.0, np.sqrt(weights), out=np.zeros_like(weights), where=support)[block]
+    tau = np.outer(ring.amplitudes, ring.amplitudes) * (block[:, None] == block)
+    tau_sqrt = tau * scale[:, None]
+    roots = np.exp(2j * math.pi / order * np.arange(order))
+    return FockOperatorSet(
+        tau=tau,
+        tau_sqrt=tau_sqrt,
+        tau_inv_sqrt=tau_sqrt * (scale * scale)[:, None],
+        lowering=lowering_operator(ring.n_max),
+        coherent_vectors=ring.amplitudes * roots[np.outer(np.arange(order), n) % order],
+        n_max=ring.n_max,
+        support_dim=int(support.sum()),
+    )
+
+
+def eigh_build_tau(constellation: Constellation, n_max: int | None = None) -> FockOperatorSet:
     """Reference tau: the N coherent vectors summed as outer products, and
     the matrix functions by eigendecomposition (eigenvalues at or below the
     floor are zeroed; the inverse square root acts on the support only)."""
@@ -450,11 +504,11 @@ def eigh_build_tau(constellation: Constellation, n_max: int | None = None):
     sqrt_vals = np.sqrt(eigenvalues)
     inv_sqrt_vals = np.zeros_like(eigenvalues)
     inv_sqrt_vals[support] = 1.0 / sqrt_vals[support]
-    return secrate.FockOperatorSet(
+    return FockOperatorSet(
         tau=tau,
         tau_sqrt=(basis * sqrt_vals) @ basis.conj().T,
         tau_inv_sqrt=(basis * inv_sqrt_vals) @ basis.conj().T,
-        lowering=secrate.lowering_operator(n_max),
+        lowering=lowering_operator(n_max),
         coherent_vectors=vectors,
         n_max=n_max,
         support_dim=int(support.sum()),
@@ -462,9 +516,13 @@ def eigh_build_tau(constellation: Constellation, n_max: int | None = None):
 
 
 def assert_matches_reference(constellation: Constellation, n_max: int | None = None) -> None:
-    ops = secrate.build_tau(constellation, n_max)
+    ring = secrate.build_tau(constellation, n_max)
+    ops = block_operator_set(ring)
     ref = eigh_build_tau(constellation, n_max)
-    assert (ops.n_max, ops.support_dim) == (ref.n_max, ref.support_dim)
+    assert (ring.n_max, ring.support_dim) == (ref.n_max, ref.support_dim)
+    # the block weights are tau's nonzero eigenvalues
+    spectrum = np.sort(np.linalg.eigvalsh(ref.tau))[::-1][: len(ring.weights)]
+    assert np.abs(np.sort(ring.weights)[::-1][: spectrum.size] - spectrum).max() < 1e-12
     assert np.abs(ops.tau - ref.tau).max() < 1e-12
     assert np.abs(ops.tau_sqrt - ref.tau_sqrt).max() < 1e-12
     assert np.abs(ops.coherent_vectors - ref.coherent_vectors).max() < 1e-12
@@ -497,34 +555,36 @@ def test_block_tau_matches_the_eigendecomposition(order, vm):
 def test_block_tau_matches_the_eigendecomposition_below_the_order(order, vm, n_max, support):
     # blocks with no Fock level below the cutoff are empty and lie outside
     # the support, as do blocks whose weight is at or below the floor
-    support_dim = secrate.build_tau(Constellation(order, vm), n_max).support_dim
-    assert support_dim == support
-    assert type(support_dim) is int  # the benchmark writes it to its JSON record
+    ring = secrate.build_tau(Constellation(order, vm), n_max)
+    assert ring.support_dim == support
+    assert type(ring.support_dim) is int  # the benchmark writes it to its JSON record
+    assert len(ring.weights) == order
     assert_matches_reference(Constellation(order, vm), n_max)
 
 
 def test_tau_single_point_is_pure():
-    ops = secrate.build_tau(Constellation(1, 0.38))
+    ops = block_operator_set(secrate.build_tau(Constellation(1, 0.38)))
     assert np.abs(ops.tau @ ops.tau - ops.tau).max() < 1e-12
     assert np.abs(ops.tau_sqrt - ops.tau).max() < 1e-10
 
 
 def test_tau_square_root_squares_back():
-    ops = secrate.build_tau(Constellation(8, 0.38))
+    ops = block_operator_set(secrate.build_tau(Constellation(8, 0.38)))
     assert np.abs(ops.tau_sqrt @ ops.tau_sqrt - ops.tau).max() < 1e-8
     assert np.abs(np.trace(ops.tau).real - 1.0) < 1e-10
     assert np.abs(ops.tau - ops.tau.conj().T).max() < 1e-14
 
 
 def test_tau_vacuum_projector_for_zero_amplitude():
-    ops = secrate.build_tau(Constellation(4, 1e-20), n_max=16)
+    ops = block_operator_set(secrate.build_tau(Constellation(4, 1e-20), n_max=16))
     expected = np.zeros((16, 16))
     expected[0, 0] = 1.0
     assert np.abs(ops.tau - expected).max() < 1e-10
 
 
 def test_tau_qpsk_block_structure_mod_four():
-    ops = secrate.build_tau(Constellation(4, 0.33))
+    # the eigendecomposition reference knows nothing of the blocks
+    ops = eigh_build_tau(Constellation(4, 0.33))
     n = ops.n_max
     rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     off_block = (rows - cols) % 4 != 0
@@ -538,58 +598,56 @@ STRUCTURAL_CACHES = {
 
 
 def test_cached_tables_are_read_only():
-    tables = [secrate._half_log_factorials(20), secrate.lowering_operator(20)]
-    tables += secrate._ring_tables(8, 20)
-    for table in tables:
-        with pytest.raises(ValueError):
-            table.flat[0] = 1.0
-    # real entries, so the PSK products run in real arithmetic
-    assert secrate.lowering_operator(20).dtype == np.float64
-    ops = secrate.build_tau(Constellation(8, 0.38))
     with pytest.raises(ValueError):
-        ops.lowering[0, 1] = 0.0
+        secrate._half_log_factorials(20).flat[0] = 1.0
+    # a ring is a frozen record, and its weights a tuple of floats
+    ring = secrate.build_tau(Constellation(8, 0.38))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ring.weights = ()
+    assert type(ring.weights) is tuple
+    assert all(type(weight) is float for weight in ring.weights)
 
 
 def test_caches_hold_one_entry_per_cutoff_or_ring():
-    assert set(STRUCTURAL_CACHES) == {"_half_log_factorials", "lowering_operator", "_ring_tables"}
+    assert set(STRUCTURAL_CACHES) == {"_half_log_factorials"}
     for cache in STRUCTURAL_CACHES.values():
         cache.cache_clear()
-    cutoffs, rings = set(), set()
+    cutoffs = set()
     for order in (4, 8):
         for vm in SCAN_MODULATION_VARIANCES:
             for loss_db in SCAN_LOSSES_DB:
                 inputs = make_inputs(vm=vm, loss_db=loss_db, n=order, auc=0.9)
                 for scheme in ("conventional", "qknn"):
                     secrate.key_rate(inputs, scheme)
-            cutoff = secrate.fock_magnitudes(inputs.constellation.amplitude).size
-            cutoffs.add(cutoff)
-            rings.add((order, cutoff))
+            cutoffs.add(secrate.fock_magnitudes(inputs.constellation.amplitude).size)
     assert len(cutoffs) < len(SCAN_MODULATION_VARIANCES)
     assert secrate._half_log_factorials.cache_info().currsize <= len(cutoffs)
-    assert secrate.lowering_operator.cache_info().currsize <= len(cutoffs)
-    assert secrate._ring_tables.cache_info().currsize <= len(rings)
 
 
 def test_each_build_owns_its_arrays():
     constellation = Constellation(8, 1.0)
     first = secrate.build_tau(constellation)
-    fields = ("tau", "tau_sqrt", "tau_inv_sqrt", "coherent_vectors")
-    saved = {name: getattr(first, name).copy() for name in fields}
-    for name in fields:
-        getattr(first, name)[...] = np.nan
+    saved = first.amplitudes.copy()
+    first.amplitudes[...] = np.nan
     second = secrate.build_tau(constellation)
-    for name in fields:
-        assert np.array_equal(getattr(second, name), saved[name]), name
+    assert np.array_equal(second.amplitudes, saved)
 
 
 # ---------------------------------------------------------------------------
 # correlation term
 # ---------------------------------------------------------------------------
 
+def closed_form_trace(ring: secrate.PskRing) -> float:
+    """tr(tau^{1/2} a tau^{1/2} a^dag) of ``correlation_term``'s block sums:
+    at T = 1 and xi = 0 its Z is twice the trace, exactly."""
+    return secrate.correlation_term(make_inputs(loss_db=0.0, excess_noise=0.0), ring)[0] / 2.0
+
+
 def test_zero_excess_noise_drops_penalty():
     clean = make_inputs(excess_noise=0.0)
-    ops = secrate.build_tau(clean.constellation)
-    z, _ = secrate.correlation_term(clean, ops)
+    ring = secrate.build_tau(clean.constellation)
+    ops = block_operator_set(ring)
+    z, _ = secrate.correlation_term(clean, ring)
     trace = np.trace(ops.tau_sqrt @ ops.lowering @ ops.tau_sqrt @ ops.lowering.conj().T)
     assert z == pytest.approx(2.0 * math.sqrt(clean.transmittance) * trace.real, abs=1e-12)
 
@@ -600,15 +658,15 @@ def test_correlation_vanishes_with_transmittance():
     assert abs(z) < 0.02
 
 
-def thermal_operator_set(mean: float, n_max: int) -> secrate.FockOperatorSet:
+def thermal_operator_set(mean: float, n_max: int) -> FockOperatorSet:
     """A thermal state of mean photon number ``mean`` in place of tau, with
     the vacuum as its one coherent vector."""
     weights = (mean / (1.0 + mean)) ** np.arange(n_max) / (1.0 + mean)
-    return secrate.FockOperatorSet(
+    return FockOperatorSet(
         tau=np.diag(weights).astype(complex),
         tau_sqrt=np.diag(np.sqrt(weights)).astype(complex),
         tau_inv_sqrt=np.diag(1.0 / np.sqrt(weights)).astype(complex),
-        lowering=secrate.lowering_operator(n_max),
+        lowering=lowering_operator(n_max),
         coherent_vectors=np.eye(n_max)[:1].astype(complex), n_max=n_max, support_dim=n_max,
     )
 
@@ -618,7 +676,7 @@ def test_thermal_state_recovers_gaussian_correlation():
     # reproduce sqrt(T*(V^2-1)) closely at small modulation variance
     for vm in (0.1, 0.3, 0.5):
         inputs = make_inputs(vm=vm, excess_noise=0.0)
-        z, _ = secrate.correlation_term(inputs, thermal_operator_set(vm / 2.0, 64))
+        z, _ = correlation_term_reference(inputs, thermal_operator_set(vm / 2.0, 64))
         gauss = math.sqrt(inputs.transmittance * (inputs.ensemble_variance**2 - 1.0))
         assert abs(z - gauss) / gauss < 0.02
 
@@ -666,7 +724,7 @@ def test_fock_cutoff_convergence():
 
 
 def correlation_term_reference(inputs: secrate.KeyRateInputs, operators) -> tuple[float, float]:
-    """Z and w with the trace as three D x D x D products and
+    """Z and w from D x D matrices: the trace as three D x D x D products and
     <v|a_tau^dag a_tau|v> read through number_like = a_tau^dag a_tau."""
     a_op = operators.lowering
     trace = np.trace(operators.tau_sqrt @ a_op @ operators.tau_sqrt @ a_op.conj().T)
@@ -685,47 +743,79 @@ def correlation_term_reference(inputs: secrate.KeyRateInputs, operators) -> tupl
     return z, w
 
 
+def w_rounding_floor(vm: float) -> float:
+    """w is a difference of two terms of size up to ~1 + |alpha|^2, each
+    rounded differently by the block sums and the matrices; where w nearly
+    cancels (a single pure state has w = 0, tiny V_m leaves w ~ |alpha|^2 of
+    terms ~1) the two agree to that rounding floor only, and Z takes the
+    floor through sqrt(2 T xi w)."""
+    return 16 * np.finfo(float).eps * (1.0 + vm / 2.0)
+
+
+def assert_block_sums_match_the_matrices(ring: secrate.PskRing, points, w_floor: float) -> None:
+    ops = block_operator_set(ring)
+    reference_trace = np.trace(ops.tau_sqrt @ ops.lowering @ ops.tau_sqrt @ ops.lowering.T)
+    assert closed_form_trace(ring) == pytest.approx(reference_trace, rel=1e-12, abs=0.0), ring
+    for inputs in points:
+        z, w = secrate.correlation_term(inputs, ring)
+        z_ref, w_ref = correlation_term_reference(inputs, ops)
+        z_floor = math.sqrt(2.0 * inputs.transmittance * inputs.excess_noise * w_floor)
+        assert w == pytest.approx(w_ref, rel=1e-12, abs=w_floor), inputs
+        assert z == pytest.approx(z_ref, rel=1e-12, abs=z_floor), inputs
+
+
 @pytest.mark.parametrize("order", [4, 8])
 def test_correlation_term_matches_the_reference_on_the_scan_grid(order):
+    # the block sums against the D x D matrices of the same ring
     for vm in SCAN_MODULATION_VARIANCES:
-        ops = secrate.build_tau(Constellation(order, vm))
-        for loss_db in SCAN_LOSSES_DB:
-            inputs = make_inputs(vm=vm, loss_db=loss_db, n=order)
-            z, w = secrate.correlation_term(inputs, ops)
-            z_ref, w_ref = correlation_term_reference(inputs, ops)
-            assert z == pytest.approx(z_ref, rel=1e-12), (vm, loss_db)
-            assert w == pytest.approx(w_ref, rel=1e-12), (vm, loss_db)
+        base = make_inputs(vm=vm, loss_db=0.0, n=order)
+        ring = secrate.build_tau(base.constellation)
+        points = [base.at_loss_db(loss_db) for loss_db in SCAN_LOSSES_DB]
+        assert_block_sums_match_the_matrices(ring, points, w_rounding_floor(vm))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 16])
 @pytest.mark.parametrize("vm", [1e-20, 1e-6, 0.01, 0.2, 1.0, 3.2, 12.0])
 def test_correlation_term_matches_the_reference(order, vm):
     inputs = make_inputs(vm=vm, n=order)
-    ops = secrate.build_tau(inputs.constellation)
-    z, w = secrate.correlation_term(inputs, ops)
-    z_ref, w_ref = correlation_term_reference(inputs, ops)
-    # w is a difference of two terms of size up to ~1 + |alpha|^2, each
-    # rounded differently by the two forms; where w nearly cancels (a
-    # single pure state has w = 0, tiny V_m leaves w ~ |alpha|^2 of terms
-    # ~1) the two agree to that rounding floor only, and Z takes the
-    # floor through sqrt(2 T xi w)
-    w_floor = 16 * np.finfo(float).eps * (1.0 + vm / 2.0)
-    z_floor = math.sqrt(2.0 * inputs.transmittance * inputs.excess_noise * w_floor)
-    assert w == pytest.approx(w_ref, rel=1e-12, abs=w_floor)
-    assert z == pytest.approx(z_ref, rel=1e-12, abs=z_floor)
+    ring = secrate.build_tau(inputs.constellation)
+    assert_block_sums_match_the_matrices(ring, [inputs], w_rounding_floor(vm))
+
+
+@pytest.mark.parametrize("n_max", [None, 12, 40])
+def test_correlation_term_matches_the_reference_with_empty_blocks(n_max):
+    # 32 blocks at |alpha|^2 = 0.005: at D = 12 or 16 the blocks above D - 1
+    # hold no level, and at D = 40 most weights sit below the floor
+    inputs = make_inputs(vm=0.01, n=32)
+    ring = secrate.build_tau(inputs.constellation, n_max)
+    assert ring.support_dim < 32
+    assert_block_sums_match_the_matrices(ring, [inputs], w_rounding_floor(0.01))
+
+
+@pytest.mark.parametrize("order", SCAN_PSK_ORDERS)
+def test_correlation_term_of_a_built_ring_is_bit_identical_to_the_default(order):
+    # the benchmark's traced pass composes build_tau -> correlation_term and
+    # checks its rate against key_rate's with ==
+    for vm in SCAN_MODULATION_VARIANCES:
+        base = make_inputs(vm=vm, loss_db=0.0, n=order, auc=SCAN_AUC)
+        for loss_db in SCAN_LOSSES_DB:
+            inputs = base.at_loss_db(loss_db)
+            ring = secrate.build_tau(inputs.constellation, inputs.fock_cutoff)
+            assert secrate.correlation_term(inputs, ring) == secrate.correlation_term(inputs)
 
 
 @pytest.mark.parametrize("order", [3, 4, 8])
 @pytest.mark.parametrize("vm", [0.2, 3.2, 12.0])
 def test_correlation_term_is_unchanged_on_a_rotated_ring(order, vm):
     # U = diag(e^{i phi n}) rotates every ring point by phi: tau, tau^{1/2}
-    # and tau^{-1/2} go to U X U^dag, complex and Hermitian, so the trace
-    # runs on complex arrays that no real PSK set produces; Z and w stay
-    # those of the unrotated ring
+    # and tau^{-1/2} go to U X U^dag, complex and Hermitian, so the matrices
+    # are ones that no real PSK ring produces; their Z and w stay those of
+    # the block sums of the unrotated ring
     inputs = make_inputs(vm=vm, n=order)
-    ops = secrate.build_tau(inputs.constellation)
-    z_flat, w_flat = secrate.correlation_term(inputs, ops)
-    w_floor = 16 * np.finfo(float).eps * (1.0 + vm / 2.0)
+    ring = secrate.build_tau(inputs.constellation)
+    ops = block_operator_set(ring)
+    z_flat, w_flat = secrate.correlation_term(inputs, ring)
+    w_floor = w_rounding_floor(vm)
     z_floor = math.sqrt(2.0 * inputs.transmittance * inputs.excess_noise * w_floor)
     for phi in (0.3, 1.1, math.pi / order):
         phase = np.exp(1j * phi * np.arange(ops.n_max))
@@ -738,87 +828,46 @@ def test_correlation_term_is_unchanged_on_a_rotated_ring(order, vm):
             coherent_vectors=ops.coherent_vectors * phase,
         )
         assert np.abs(rotated.tau_sqrt.imag).max() > 0.0
-        z, w = secrate.correlation_term(inputs, rotated)
-        for z_expected, w_expected in (
-            (z_flat, w_flat), correlation_term_reference(inputs, rotated)
-        ):
-            assert w == pytest.approx(w_expected, rel=1e-12, abs=w_floor), phi
-            assert z == pytest.approx(z_expected, rel=1e-12, abs=z_floor), phi
+        z, w = correlation_term_reference(inputs, rotated)
+        assert w == pytest.approx(w_flat, rel=1e-12, abs=w_floor), phi
+        assert z == pytest.approx(z_flat, rel=1e-12, abs=z_floor), phi
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_correlation_term_rejects_a_non_finite_trace(bad):
-    # the operators are real, so a NaN or infinite trace has no imaginary
-    # part for the residue check to catch
+    # the top amplitude enters the block sums as eps_r = c_{D-1}^2; a NaN
+    # or infinite one must raise rather than give a NaN correlation
     inputs = make_inputs()
-    ops = secrate.build_tau(inputs.constellation)
-    tau_sqrt = ops.tau_sqrt.copy()
-    tau_sqrt[0, 0] = bad
-    broken = dataclasses.replace(ops, tau_sqrt=tau_sqrt)
-    # an infinite entry meets the zeros of a, and 0 * inf is NaN
+    ring = secrate.build_tau(inputs.constellation)
+    amplitudes = ring.amplitudes.copy()
+    amplitudes[-1] = bad
+    broken = dataclasses.replace(ring, amplitudes=amplitudes)
     with np.errstate(invalid="ignore"), pytest.raises(secrate.KeyRateDomainError, match="not finite"):
         secrate.correlation_term(inputs, broken)
 
 
 def test_correlation_term_matches_the_reference_on_a_thermal_state():
+    # on a thermal tau with p_n = (1 - q) q^n, the trace is the series
+    # sum_{n<D} n sqrt(p_{n-1} p_n), and the vacuum, the one coherent
+    # vector, is lowered to zero, so w = 0
     for vm in (0.1, 0.3, 0.5):
         inputs = make_inputs(vm=vm)
         ops = thermal_operator_set(vm / 2.0, 64)
-        z, w = secrate.correlation_term(inputs, ops)
+        p = np.diag(ops.tau).real
+        trace = math.fsum(n * math.sqrt(p[n - 1] * p[n]) for n in range(1, ops.n_max))
         z_ref, w_ref = correlation_term_reference(inputs, ops)
-        assert z == pytest.approx(z_ref, rel=1e-12)
-        assert w == pytest.approx(w_ref, rel=1e-12, abs=1e-15)
-
-
-def psk_block_spectrum(order: int, vm: float) -> np.ndarray:
-    """lambda_k = sum of the Poisson(|alpha|^2) weights p_n over n = k mod N,
-    n below the Fock cutoff: the one nonzero eigenvalue of tau's k-th block.
-    A sum of positive terms, unlike the DFT of exp(|alpha|^2 omega^l), which
-    cancels to zero or below for small V_m at N = 16."""
-    mean = vm / 2.0
-    n = np.arange(poisson_fock_cutoff(mean))
-    log_fact = np.array([math.lgamma(m + 1.0) for m in n])
-    weights = np.exp(-mean + n * math.log(mean) - log_fact)
-    return np.bincount(n % order, weights=weights, minlength=order), weights
-
-
-def psk_correlation_closed_form(order: int, vm: float) -> tuple[float, float]:
-    """tr(tau^1/2 a tau^1/2 a^dag) and w of the truncated PSK state from its
-    block spectrum. <v_{k-1}|a|v_k> = alpha (lambda_{k-1} - eps_k), where
-    eps_k = p_{D-1} [D-1 = k-1 mod N] is the top Fock term that a drops."""
-    lam, weights = psk_block_spectrum(order, vm)
-    previous = np.roll(lam, 1)  # lambda_{k-1}
-    top = np.zeros(order)
-    top[weights.size % order] = weights[-1]  # k with k - 1 = D - 1 mod N
-    lowered = previous - top
-    trace = vm / 2.0 * np.sum(lowered**2 / np.sqrt(previous * lam))
-    c = math.sqrt(vm / 2.0) * lowered / lam
-    w = np.sum(lam * c**2) - np.sum(np.sqrt(previous * lam) * c) ** 2
-    return float(trace), float(w)
-
-
-@pytest.mark.parametrize("order", [4, 8])
-def test_psk_closed_form_correlation_matches_the_fock_space_term(order):
-    for vm in SCAN_MODULATION_VARIANCES:
-        ops = secrate.build_tau(Constellation(order, vm))
-        trace, w = psk_correlation_closed_form(order, vm)
-        fock_trace = np.trace(ops.tau_sqrt @ ops.lowering @ ops.tau_sqrt @ ops.lowering.conj().T)
-        # tighter than z and w: leaving out eps_k moves the trace by ~1e-11
-        assert trace == pytest.approx(fock_trace.real, rel=1e-12), vm
-        for loss_db in SCAN_LOSSES_DB:
-            inputs = make_inputs(vm=vm, loss_db=loss_db, n=order)
-            z_fock, w_fock = secrate.correlation_term(inputs, ops)
-            t = inputs.transmittance
-            z = 2.0 * math.sqrt(t) * trace - math.sqrt(2.0 * t * inputs.excess_noise * w)
-            assert z == pytest.approx(z_fock, rel=1e-9), (vm, loss_db)
-            assert w == pytest.approx(w_fock, rel=1e-9), (vm, loss_db)
+        assert z_ref == pytest.approx(2.0 * math.sqrt(inputs.transmittance) * trace, rel=1e-12)
+        assert w_ref == pytest.approx(0.0, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("vm", [0.01, 0.05, 0.2, 0.35, 0.6, 1.0])
 def test_psk_block_spectrum_is_positive_at_sixteen_points(vm):
-    lam, _ = psk_block_spectrum(16, vm)
-    assert np.all(lam > 0.0)
-    assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+    # summed from positive terms, not as the DFT of exp(|alpha|^2 omega^l),
+    # which cancels to zero or below for small V_m at N = 16
+    lam = secrate.build_tau(Constellation(16, vm)).weights
+    assert len(lam) == 16
+    assert all(weight > 0.0 for weight in lam)
+    assert math.fsum(lam) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
