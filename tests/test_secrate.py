@@ -860,6 +860,56 @@ def test_correlation_term_matches_the_reference_on_a_thermal_state():
         assert w_ref == pytest.approx(0.0, rel=1e-12, abs=1e-15)
 
 
+def psk_block_spectrum(order: int, vm: float) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_k = sum of the Poisson(|alpha|^2) weights p_n over n = k mod N,
+    n below the Fock cutoff, with p_n from lgamma rather than from
+    ``fock_magnitudes``: the one nonzero eigenvalue of tau's k-th block."""
+    mean = vm / 2.0
+    n = np.arange(poisson_fock_cutoff(mean))
+    log_fact = np.array([math.lgamma(m + 1.0) for m in n])
+    weights = np.exp(-mean + n * math.log(mean) - log_fact)
+    return np.bincount(n % order, weights=weights, minlength=order), weights
+
+
+def psk_correlation_closed_form(order: int, vm: float) -> tuple[float, float]:
+    """tr(tau^1/2 a tau^1/2 a^dag) and w of the truncated PSK state from its
+    block spectrum. <v_{k-1}|a|v_k> = alpha (lambda_{k-1} - eps_k), where
+    eps_k = p_{D-1} [D-1 = k-1 mod N] is the top Fock term that a drops."""
+    lam, weights = psk_block_spectrum(order, vm)
+    previous = np.roll(lam, 1)  # lambda_{k-1}
+    top = np.zeros(order)
+    top[weights.size % order] = weights[-1]  # k with k - 1 = D - 1 mod N
+    lowered = previous - top
+    trace = vm / 2.0 * np.sum(lowered**2 / np.sqrt(previous * lam))
+    c = math.sqrt(vm / 2.0) * lowered / lam
+    w = np.sum(lam * c**2) - np.sum(np.sqrt(previous * lam) * c) ** 2
+    return float(trace), float(w)
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_psk_closed_form_correlation_matches_the_fock_space_term(order):
+    # a closed form written apart from correlation_term's block sums,
+    # against the D x D matrices of the eigendecomposed tau and against
+    # correlation_term itself
+    for vm in SCAN_MODULATION_VARIANCES:
+        ops = eigh_build_tau(Constellation(order, vm))
+        ring = secrate.build_tau(Constellation(order, vm))
+        trace, w = psk_correlation_closed_form(order, vm)
+        fock_trace = np.trace(ops.tau_sqrt @ ops.lowering @ ops.tau_sqrt @ ops.lowering.conj().T)
+        # tighter than z and w: leaving out eps_k moves the trace by ~1e-11
+        assert trace == pytest.approx(fock_trace.real, rel=1e-12), vm
+        for loss_db in SCAN_LOSSES_DB:
+            inputs = make_inputs(vm=vm, loss_db=loss_db, n=order)
+            t = inputs.transmittance
+            z = 2.0 * math.sqrt(t) * trace - math.sqrt(2.0 * t * inputs.excess_noise * w)
+            for z_other, w_other in (
+                correlation_term_reference(inputs, ops),
+                secrate.correlation_term(inputs, ring),
+            ):
+                assert z == pytest.approx(z_other, rel=1e-9), (vm, loss_db)
+                assert w == pytest.approx(w_other, rel=1e-9), (vm, loss_db)
+
+
 @pytest.mark.parametrize("vm", [0.01, 0.05, 0.2, 0.35, 0.6, 1.0])
 def test_psk_block_spectrum_is_positive_at_sixteen_points(vm):
     # summed from positive terms, not as the DFT of exp(|alpha|^2 omega^l),
