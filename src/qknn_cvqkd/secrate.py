@@ -221,7 +221,8 @@ def correlation_term(inputs: KeyRateInputs, ring: PskRing | None = None) -> tupl
     trace = number = lowered = 0.0
     previous = weights[-1]
     for r, weight in enumerate(weights):
-        if previous > EIGENVALUE_FLOOR and weight > EIGENVALUE_FLOOR:
+        # a NaN weight fails both floor tests and reaches the finiteness check
+        if not (previous <= EIGENVALUE_FLOOR or weight <= EIGENVALUE_FLOOR):
             overlap = math.sqrt(previous * weight)
             g = ring.amplitude * (previous - dropped if r == top else previous) / overlap
             trace += g * g * overlap

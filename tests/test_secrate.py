@@ -752,16 +752,25 @@ def w_rounding_floor(vm: float) -> float:
     return 16 * np.finfo(float).eps * (1.0 + vm / 2.0)
 
 
-def assert_block_sums_match_the_matrices(ring: secrate.PskRing, points, w_floor: float) -> None:
+def assert_block_sums_match_the_matrices(
+    ring: secrate.PskRing, points, w_floor: float, z_floor: float | None = None
+) -> None:
+    """Trace, w and Z of the block sums against the D x D matrices, each to
+    1e-12 relative; w also to ``w_floor`` absolute, and Z to ``z_floor``
+    absolute where one is given (else pytest's default)."""
     ops = block_operator_set(ring)
     reference_trace = np.trace(ops.tau_sqrt @ ops.lowering @ ops.tau_sqrt @ ops.lowering.T)
     assert closed_form_trace(ring) == pytest.approx(reference_trace, rel=1e-12, abs=0.0), ring
     for inputs in points:
         z, w = secrate.correlation_term(inputs, ring)
         z_ref, w_ref = correlation_term_reference(inputs, ops)
-        z_floor = math.sqrt(2.0 * inputs.transmittance * inputs.excess_noise * w_floor)
         assert w == pytest.approx(w_ref, rel=1e-12, abs=w_floor), inputs
         assert z == pytest.approx(z_ref, rel=1e-12, abs=z_floor), inputs
+
+
+def z_rounding_floor(inputs: secrate.KeyRateInputs, w_floor: float) -> float:
+    """The w floor as it reaches Z through sqrt(2 T xi w)."""
+    return math.sqrt(2.0 * inputs.transmittance * inputs.excess_noise * w_floor)
 
 
 @pytest.mark.parametrize("order", [4, 8])
@@ -779,7 +788,8 @@ def test_correlation_term_matches_the_reference_on_the_scan_grid(order):
 def test_correlation_term_matches_the_reference(order, vm):
     inputs = make_inputs(vm=vm, n=order)
     ring = secrate.build_tau(inputs.constellation)
-    assert_block_sums_match_the_matrices(ring, [inputs], w_rounding_floor(vm))
+    w_floor = w_rounding_floor(vm)
+    assert_block_sums_match_the_matrices(ring, [inputs], w_floor, z_rounding_floor(inputs, w_floor))
 
 
 @pytest.mark.parametrize("n_max", [None, 12, 40])
@@ -816,7 +826,7 @@ def test_correlation_term_is_unchanged_on_a_rotated_ring(order, vm):
     ops = block_operator_set(ring)
     z_flat, w_flat = secrate.correlation_term(inputs, ring)
     w_floor = w_rounding_floor(vm)
-    z_floor = math.sqrt(2.0 * inputs.transmittance * inputs.excess_noise * w_floor)
+    z_floor = z_rounding_floor(inputs, w_floor)
     for phi in (0.3, 1.1, math.pi / order):
         phase = np.exp(1j * phi * np.arange(ops.n_max))
         conjugation = np.outer(phase, phase.conj())
@@ -843,6 +853,20 @@ def test_correlation_term_rejects_a_non_finite_trace(bad):
     amplitudes[-1] = bad
     broken = dataclasses.replace(ring, amplitudes=amplitudes)
     with np.errstate(invalid="ignore"), pytest.raises(secrate.KeyRateDomainError, match="not finite"):
+        secrate.correlation_term(inputs, broken)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("block", [0, 2])
+def test_correlation_term_rejects_a_non_finite_weight(block, bad):
+    # a hand-built ring with a NaN or infinite lambda_r must raise, not
+    # drop its two blocks and give a finite trace
+    inputs = make_inputs()
+    ring = secrate.build_tau(inputs.constellation)
+    weights = list(ring.weights)
+    weights[block] = bad
+    broken = dataclasses.replace(ring, weights=tuple(weights))
+    with pytest.raises(secrate.KeyRateDomainError, match="not finite"):
         secrate.correlation_term(inputs, broken)
 
 
