@@ -23,12 +23,10 @@ from .qknn.similarity import required_iterations as estimation_iteration_count
 
 def confusion(predicted, actual, n_classes: int) -> np.ndarray:
     """Counts indexed [actual - 1, predicted - 1] for 1-based labels."""
-    predicted = np.asarray(predicted)
-    actual = np.asarray(actual)
+    predicted = checked_labels(predicted, n_classes)
+    actual = checked_labels(actual, n_classes)
     if predicted.shape != actual.shape:
         raise ValueError(f"length mismatch: {predicted.shape} vs {actual.shape}")
-    checked_labels(predicted, n_classes)
-    checked_labels(actual, n_classes)
     matrix = np.zeros((n_classes, n_classes), dtype=int)
     np.add.at(matrix, (actual - 1, predicted - 1), 1)
     return matrix
@@ -91,10 +89,9 @@ def roc_macro(scores: np.ndarray, actual, n_classes: int) -> RocCurve:
     false-positive-rate grids and averaged; classes absent from ``actual``
     are skipped (their one-vs-rest curve is undefined)."""
     scores = np.asarray(scores, dtype=float)
-    actual = np.asarray(actual)
+    actual = checked_labels(actual, n_classes)
     if scores.ndim != 2 or scores.shape != (actual.size, n_classes):
         raise ValueError("scores must be (n_samples, n_classes)")
-    checked_labels(actual, n_classes)
     if not (scores.min() >= -1e-9 and scores.max() <= 1 + 1e-9):  # NaN fails too
         raise ValueError("scores must lie in [0, 1]")
     present = np.unique(actual)

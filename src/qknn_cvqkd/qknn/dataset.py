@@ -20,7 +20,9 @@ def is_positive_integer(value) -> bool:
 
 def checked_labels(labels, n_classes: int | None = None) -> np.ndarray:
     """``labels`` as a 1-D array of integer, 1-based class labels, each at most
-    ``n_classes`` when that is given; raises ``ValueError`` otherwise."""
+    the positive integer ``n_classes`` when given; raises ``ValueError`` otherwise."""
+    if n_classes is not None and not is_positive_integer(n_classes):
+        raise ValueError(f"n_classes must be a positive integer, got {n_classes!r}")
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError(f"labels must be one-dimensional, got shape {labels.shape}")

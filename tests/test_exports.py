@@ -1,13 +1,13 @@
-"""Every public name of ``qsim``, ``qknn``, ``optics`` and ``secrate`` has a
-caller: the package itself, the benchmark, or a named test that uses it as a
-reference."""
+"""Every public name of ``qsim``, ``qknn``, ``optics``, ``secrate`` and
+``metrics`` has a caller: the package itself, the benchmark, or a named test
+that uses it as a reference."""
 import ast
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from qknn_cvqkd import optics, qknn, qsim, secrate
+from qknn_cvqkd import metrics, optics, qknn, qsim, secrate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,8 +18,11 @@ TEST_REFERENCES = {
     "apply_reflection_about_uniform": "tests/test_qknn_search.py::_gate_grover_state",
     "basis_state": "tests/test_qknn_encoding.py::reference_uniform_prep",
     "classical_knn_predict": "tests/test_qknn_classify.py::test_batch_predictions_match_single_queries",
+    "complexity_classical": "tests/test_metrics.py::test_classical_count_reference_point",
+    "complexity_quantum": "tests/test_metrics.py::test_quantum_count_reference_point",
     "estimation_error_bound": "tests/test_qknn_similarity.py::test_estimate_error_bound_on_coarse_grid",
     "measure": "tests/test_qknn_encoding.py::reference_uniform_prep",
+    "oracle_budget_kmax": "tests/test_metrics.py::test_budget_small_match_count_literal_sum",
 }
 
 
@@ -64,8 +67,9 @@ def _public_top_level_names(module) -> list[str]:
 
 @pytest.mark.parametrize(
     "names",
-    [qsim.__all__, qknn.__all__, _public_top_level_names(optics), _public_top_level_names(secrate)],
-    ids=["qsim", "qknn", "optics", "secrate"],
+    [qsim.__all__, qknn.__all__, _public_top_level_names(optics), _public_top_level_names(secrate),
+     _public_top_level_names(metrics)],
+    ids=["qsim", "qknn", "optics", "secrate", "metrics"],
 )
 def test_every_export_has_a_caller(names):
     referenced = _package_and_bench_references()
@@ -81,8 +85,9 @@ def test_secrate_public_names_are_found():
 
 def test_test_only_exports_are_exported_and_used_by_the_named_test():
     referenced = _package_and_bench_references()
+    exported = {*qsim.__all__, *qknn.__all__, *_public_top_level_names(metrics)}
     for name, test in TEST_REFERENCES.items():
-        assert name in qsim.__all__ or name in qknn.__all__, name
+        assert name in exported, name
         assert not referenced[name], f"{name} has a caller outside tests; drop it from the list"
         test_file, test_name = test.split("::")
         tree = ast.parse((ROOT / test_file).read_text())

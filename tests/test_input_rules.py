@@ -69,6 +69,11 @@ POSITIVE_INTEGER_ENTRY_POINTS = {
     "prepare_uniform_superposition": lambda n: np.count_nonzero(
         prepare_uniform_superposition(n, RNG(0)).state.amplitudes
     ),
+    "TrainingSet.n_classes": lambda n: TrainingSet(
+        SIX_ROWS.features, SIX_ROWS.labels, n, SIX_ROWS.scaler
+    ).n_classes,
+    "confusion": lambda n: metrics.confusion([1, 2], [2, 1], n).shape[0],
+    "roc_macro": lambda n: len(metrics.roc_macro(np.eye(4), [1, 2, 3, 4], n).per_class_auc),
 }
 
 

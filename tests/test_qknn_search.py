@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qknn_cvqkd import qsim
-from qknn_cvqkd.qknn import k_maximal_find
+from qknn_cvqkd.qknn import TrainingSet, compute_similarity_table, k_maximal_find, qknn_predict
 from qknn_cvqkd.qknn import search
 from qknn_cvqkd.qknn.search import SearchExhaustedError
 from qknn_cvqkd.qknn.similarity import SimilarityTable
@@ -309,6 +309,62 @@ def test_k_maximal_rejects_bad_k():
     table = make_table(np.arange(4.0))
     with pytest.raises(ValueError):
         k_maximal_find(table, 5, RNG(0))
+
+
+def _sixteen_rows():
+    """A 16-row training set of four labels and one query."""
+    data = RNG(21)
+    train = TrainingSet.from_raw(data.normal(size=(16, 2)), data.integers(1, 5, size=16), 4)
+    return train, train.features[0] * 0.5 + 0.2
+
+
+def test_k_maximal_rejects_a_mode_that_is_not_the_tables():
+    # a table holds the values its own mode ranks on; the default mode is
+    # analytic, which would run the analytic tie rule on gate registers
+    train, query = _sixteen_rows()
+    gate = compute_similarity_table(train, query, mode="gate", delta=0.1)
+    with pytest.raises(ValueError, match="table's mode"):
+        k_maximal_find(gate, 5, RNG(1))
+    analytic = compute_similarity_table(train, query)
+    with pytest.raises(ValueError, match="table's mode"):
+        k_maximal_find(analytic, 5, RNG(1), mode="gate")
+    with pytest.raises(ValueError, match="unknown mode"):
+        k_maximal_find(analytic, 5, RNG(1), mode="circuit")
+
+
+@pytest.mark.parametrize("mode,rows,counters", [
+    ("analytic", [4, 5, 10, 12, 14], (6, 5, 16, 15)),
+    ("gate", [4, 5, 10, 11, 14], (3, 2, 14, 9)),
+])
+def test_qknn_predict_searches_its_table_in_its_mode(mode, rows, counters):
+    # pinned rows and (rounds, replacements, oracle calls, verifications) of
+    # seed 1, and the same search as calling k_maximal_find on the table
+    train, query = _sixteen_rows()
+    prediction = qknn_predict(train, query, 5, RNG(1), mode=mode, delta=0.1)
+    report = prediction.search_report
+    assert prediction.neighbor_indices.tolist() == rows
+    assert (len(report.rounds), report.replacements, report.oracle_calls,
+            report.verifications) == counters
+    assert k_maximal_find(prediction.table, 5, RNG(1), mode=mode) == (
+        search.NeighborSet(selected=rows), report
+    )
+
+
+def test_a_search_that_marks_nothing_draws_no_uniform():
+    # the start is already the top k: gate mode on equal registers, and
+    # analytic tables that put the start's rows on top. The one round marks
+    # nothing, and the generator is where the start's draw left it
+    cases = [(make_table(np.full(16, 3.0), mode="gate"), seed, "gate") for seed in range(5)]
+    for seed in range(5):
+        values = np.zeros(16)
+        values[RNG(seed).choice(16, size=5, replace=False)] = 1.0 + np.arange(5)
+        cases.append((make_table(values), seed, "analytic"))
+    for table, seed, mode in cases:
+        rng, twin = RNG(seed), RNG(seed)
+        twin.choice(16, size=5, replace=False)
+        _, report = k_maximal_find(table, 5, rng, mode=mode)
+        assert report.rounds == [search._absence_report(16)], (mode, seed)
+        assert rng.bit_generator.state == twin.bit_generator.state, (mode, seed)
 
 
 def test_analytic_k_maximal_equals_stable_argsort_for_every_k():
